@@ -13,6 +13,7 @@ from .core import (
     ModelSpec,
     ParseError,
     PermlabError,
+    PrecisionError,
     ScaledValue,
     ShapeError,
     SizeLimitError,
@@ -66,6 +67,7 @@ __all__ = [
     "ModelSpec",
     "ParseError",
     "PermlabError",
+    "PrecisionError",
     "ScaledValue",
     "ShapeError",
     "SizeLimitError",

@@ -22,6 +22,7 @@ from .core import (
     ModelSpec,
     ParseError,
     PermlabError,
+    PrecisionError,
     parse_matrix,
     write_matrix,
 )
@@ -81,11 +82,15 @@ def _merge_config(args: argparse.Namespace, converters: dict[str, object]) -> No
     """Fill argparse values that were left at None from the config file.
 
     Flags win over the file; anything still None afterwards falls back to
-    the per-command default below.
+    the per-command default below. A key the command does not take is an
+    error.
     """
     if not getattr(args, "config", None):
         return
     cfg = _load_config(args.config)
+    unknown = [key for key in cfg if key not in converters]
+    if unknown:
+        raise ParseError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
     for key, conv in converters.items():
         if getattr(args, key, None) is None and key in cfg:
             setattr(args, key, conv(cfg[key]))
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("per", help="permanent of a matrix file")
     p.add_argument("--input", default=None, help="matrix text file")
     p.add_argument("--algorithm", choices=["naive", "ryser"], default=None,
-                   help="kernel to use (default ryser)")
+                   help="kernel to use (default ryser, the fast Glynn kernel)")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.set_defaults(func=cmd_per)
 
@@ -344,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PrecisionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (PermlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ __all__ = [
     "ShapeError",
     "SizeLimitError",
     "DomainError",
+    "PrecisionError",
     "ScaledValue",
     "DistributionSpec",
     "ModelSpec",
@@ -43,6 +44,10 @@ class SizeLimitError(PermlabError, ValueError):
 
 class DomainError(PermlabError, ValueError):
     """A formula's hypothesis is not satisfied by the given parameters."""
+
+
+class PrecisionError(PermlabError, ArithmeticError):
+    """A computed value is not resolved by its own rounding-error bound."""
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,14 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     r_i * E[W], and divides by the expected permanent in log space. The
     family's scale factor multiplies T and mu by the same scale^n, so it is
     cancelled algebraically rather than numerically; ratios are therefore
-    bit-identical across pure rescalings of the entry law. A tiny negative
-    residual from the alternating sum (possible only when the true permanent
-    is zero) is clamped to zero.
+    bit-identical across pure rescalings of the entry law. The ratio is
+    exactly 0.0 when, and only when, the support has no perfect matching.
     """
     x, w = _sample_standard_realization(spec, seed)
     nu0 = spec.dist.standard_mean
     scales = [ri * nu0 for ri in spec.r]
     sv = per_scaled(DenseMatrix(x * w), scales)
-    if sv.is_zero or sv.sign < 0:
+    if sv.is_zero:
         return 0.0
     n = spec.n
     log_mu0 = math.fsum(math.log(s) for s in scales) + (
@@ -149,15 +148,22 @@ class TrialBatch:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("PERMLAB_WORKERS")
-    if env:
+    """Worker count from the argument, else $PERMLAB_WORKERS, else 1.
+
+    Counts <= 0 are rejected; larger ones are capped at the CPUs this
+    process may run on.
+    """
+    if workers is None:
+        env = os.environ.get("PERMLAB_WORKERS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"bad PERMLAB_WORKERS value {env!r}") from None
-    return 1
+    if workers <= 0:
+        raise ValueError(f"worker count must be positive, got {workers}")
+    return min(workers, len(os.sched_getaffinity(0)))
 
 
 def estimate_moments(
@@ -172,6 +178,7 @@ def estimate_moments(
 
     Ratios land in trial-index order regardless of worker count, so the
     batch (and everything derived from it) is independent of scheduling.
+    The pool never starts more workers than there are spans of trials.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
@@ -182,7 +189,7 @@ def estimate_moments(
         bounds = np.linspace(0, trials, 4 * nworkers + 1, dtype=int)
         spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         ratios = []
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=min(nworkers, len(spans))) as pool:
             futures = [pool.submit(_run_range, spec, master_seed, a, b) for a, b in spans]
             for fut in futures:
                 ratios.extend(fut.result())

@@ -52,6 +52,21 @@ class TestPer:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["per", "--input", str(tmp_path / "nope.txt")]) == 1
 
+    def test_structural_zero_prints_zero(self, tmp_path, capsys):
+        p = tmp_path / "zero.txt"
+        # rows 0-2 fit only columns 0-1, though no column is empty
+        p.write_text("1 1 0 0\n1 1 0 0\n1 1 0 0\n1 1 1 1\n")
+        assert main(["per", "--input", str(p)]) == 0
+        assert capsys.readouterr().out == "per = 0  log_per = -inf\n"
+
+    def test_unresolved_permanent_exit_1(self, tmp_path, capsys):
+        # 20! * 1e-400 underflows the double pass; it is not reported as 0
+        p = tmp_path / "tiny.txt"
+        p.write_text("\n".join(" ".join("1e-20" for _ in range(20)) for _ in range(20)) + "\n")
+        assert main(["per", "--input", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rounding bound" in captured.err
+
 
 class TestUsage:
     def test_unknown_subcommand_exit_2(self):
@@ -173,6 +188,14 @@ class TestMcSweep:
     def test_guard_exit_2(self):
         assert main(["mc", "--n", "40", "--r", "2", "--trials", "10", "--seed", "0"]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_2(self, workers, monkeypatch, capsys):
+        args = ["mc", "--n", "3", "--r", "2", "--trials", "10"]
+        assert main(args + ["--workers", workers]) == 2
+        monkeypatch.setenv("PERMLAB_WORKERS", workers)
+        assert main(args) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path, capsys):
@@ -197,6 +220,14 @@ class TestConfigFile:
         assert main(["mc", "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("3,2,2,const:1,50,4,")
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n=3\nr=2\ntrails=10\n")
+        assert main(["mc", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "trails" in captured.err
+        assert captured.out == ""
 
     def test_config_cannot_replace_missing_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"

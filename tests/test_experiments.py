@@ -1,11 +1,17 @@
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from permlab import experiments
 from permlab.core import DistributionSpec, ModelSpec
 from permlab.experiments import (
     CSV_HEADER,
+    _resolve_workers,
     SweepPlan,
     TrialBatch,
     concentration_sweep,
@@ -16,7 +22,7 @@ from permlab.experiments import (
     summary_row,
     write_csv,
 )
-from permlab.model import TrialSeed
+from permlab.model import TrialSeed, sample_constrained_matrix
 
 CONST1 = DistributionSpec.constant(1)
 SPEC3 = ModelSpec(3, (2, 2, 2), CONST1)
@@ -116,6 +122,78 @@ class TestTrialBatch:
         assert abs(batch.var_ratio - 0.125) < 3 * batch.se_var
         zeros = int((batch.ratios == 0.0).sum())
         assert abs(zeros - batch.trials / 9) < 4 * math.sqrt(batch.trials * (1 / 9) * (8 / 9))
+
+
+class TestZeroPermanents:
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_zero_ratio_iff_no_perfect_matching(self, n, r):
+        spec = ModelSpec(n, (r,) * n, DistributionSpec.exponential(1.0))
+        zeros = 0
+        for i in range(150):
+            seed = TrialSeed(99, i)
+            x, _ = sample_constrained_matrix(spec, seed)
+            match = maximum_bipartite_matching(csr_matrix(x.entries), perm_type="column")
+            no_matching = bool(np.any(match < 0))
+            assert (run_trial(spec, seed) == 0.0) == no_matching
+            zeros += no_matching
+        # r = n gives a full support, which always has a perfect matching
+        assert (zeros > 0) == (r < n)
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that runs each span on submit and
+    records the worker count it was asked for."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class TestWorkerCount:
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("PERMLAB_WORKERS", raising=False)
+        assert _resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_rejected(self, bad, monkeypatch):
+        with pytest.raises(ValueError):
+            _resolve_workers(bad)
+        monkeypatch.setenv("PERMLAB_WORKERS", str(bad))
+        with pytest.raises(ValueError):
+            _resolve_workers(None)
+
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("PERMLAB_WORKERS", "many")
+        with pytest.raises(ValueError):
+            _resolve_workers(None)
+
+    def test_capped_at_usable_cpus(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert _resolve_workers(10_000) == cpus
+        monkeypatch.setenv("PERMLAB_WORKERS", "10000")
+        assert _resolve_workers(None) == cpus
+        assert _resolve_workers(1) == 1
+
+    def test_pool_capped_at_span_count(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+        _InlinePool.requested = []
+        batch = estimate_moments(SPEC3, 5, 5, workers=64)
+        assert _InlinePool.requested == [5]
+        assert np.array_equal(batch.ratios, estimate_moments(SPEC3, 5, 5, workers=1).ratios)
 
 
 class TestParallelism:

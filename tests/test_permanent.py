@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from permlab.core import DenseMatrix, SizeLimitError
+from permlab.core import DenseMatrix, PrecisionError, SizeLimitError
 from permlab.permanent import per_naive, per_ryser, per_scaled
 
 
@@ -78,6 +78,18 @@ class TestRyser:
             # the largest intermediate product sets the cancellation scale
             scale = float(np.prod(m.sum(axis=1)))
             assert v.is_zero or abs(v.to_float()) < 1e-12 * max(scale, 1.0)
+
+    def test_structural_zero_is_exact(self):
+        # no empty row or column, but rows 0-2 share only columns 0-1
+        m = np.ones((5, 5))
+        m[:3, 2:] = 0.0
+        assert per_ryser(DenseMatrix(m)).is_zero
+        assert per_scaled(DenseMatrix(m), np.full(5, 3.0)).is_zero
+
+    def test_unresolved_value_raises_instead_of_zero(self):
+        # per = 20! * 1e-400 underflows, yet the support has a perfect matching
+        with pytest.raises(PrecisionError):
+            per_ryser(DenseMatrix(np.full((20, 20), 1e-20)))
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(8)
