@@ -17,7 +17,6 @@ from .core import (
     ScaledValue,
     ShapeError,
     SizeLimitError,
-    distribution_moments,
     parse_matrix,
     write_matrix,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "condition_check",
     "constraint_class_size",
     "cross_check_suite",
-    "distribution_moments",
     "enumerate_constraint_matrices",
     "estimate_moments",
     "exact_moments_enumerate",

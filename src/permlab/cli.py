@@ -78,39 +78,36 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merge_config(args: argparse.Namespace, converters: dict[str, object]) -> None:
-    """Fill argparse values that were left at None from the config file.
+def _config_argv(argv: list[str]) -> list[str]:
+    """argv with the ``--config`` file's pairs inserted as flags.
 
-    Flags win over the file; anything still None afterwards falls back to
-    the per-command default below. A key the command does not take is an
-    error.
+    Each ``key=value`` pair becomes one ``--key=value`` token (``_`` written
+    as ``-``), placed right after the subcommand so that explicit flags,
+    later in argv, win. The parser then converts, checks and rejects the
+    file's values exactly as it does flags.
     """
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    unknown = [key for key in cfg if key not in converters]
-    if unknown:
-        raise ParseError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-    for key, conv in converters.items():
-        if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, conv(cfg[key]))
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return argv  # the full parser reports the malformed --config
+    if path is None:
+        return argv
+    tokens = []
+    for key, value in _load_config(path).items():
+        flag = key.replace("_", "-")
+        if flag == "config":
+            raise ParseError(f"{path}: a config file cannot name another config file")
+        tokens.append(f"--{flag}={value}")
+    return argv[:1] + tokens + argv[1:]
 
 
-def _apply_defaults(args: argparse.Namespace, defaults: dict[str, object]) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _require(args: argparse.Namespace, *keys: str) -> None:
-    """Flags that may come from the config file; fail if still unset."""
-    for key in keys:
-        if getattr(args, key, None) is None:
-            raise ParseError(f"missing required option --{key.replace('_', '-')}")
-
-
-def _echo_config(cmd: str, args: argparse.Namespace, keys: list[str]) -> None:
-    parts = [f"cmd={cmd}"] + [f"{k}={getattr(args, k)}" for k in keys]
+def _echo_config(args: argparse.Namespace) -> None:
+    """Echo every resolved option to stderr."""
+    parts = [f"cmd={args.command}"] + [
+        f"{k}={v}" for k, v in vars(args).items() if k not in ("func", "command", "config")
+    ]
     print("# " + " ".join(parts), file=sys.stderr)
 
 
@@ -124,10 +121,7 @@ def _build_spec(args: argparse.Namespace) -> ModelSpec:
 
 
 def cmd_per(args: argparse.Namespace) -> int:
-    _merge_config(args, {"input": str, "algorithm": str})
-    _apply_defaults(args, {"algorithm": "ryser"})
-    _require(args, "input")
-    _echo_config("per", args, ["input", "algorithm"])
+    _echo_config(args)
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
     value = per_naive(m) if args.algorithm == "naive" else per_ryser(m)
@@ -140,12 +134,8 @@ def cmd_per(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    conv = {"n": int, "r": str, "dist": str, "seed": int, "trial": int, "matrix": str}
-    _merge_config(args, conv)
-    _apply_defaults(args, {"seed": 0, "trial": 0, "matrix": "y", "dist": "const:1"})
-    _require(args, "n", "r")
     spec = _build_spec(args)
-    _echo_config("sample", args, ["n", "r", "dist", "seed", "trial", "matrix"])
+    _echo_config(args)
     x, y = sample_constrained_matrix(spec, TrialSeed(args.seed, args.trial))
     text = write_matrix(x if args.matrix == "x" else y)
     if args.out:
@@ -157,11 +147,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    _merge_config(args, {"n": int, "r": str, "dist": str})
-    _apply_defaults(args, {"dist": "const:1"})
-    _require(args, "n", "r")
     spec = _build_spec(args)
-    _echo_config("moments", args, ["n", "r", "dist"])
+    _echo_config(args)
     rep = moment_report(spec)
     lines = [
         f"n = {spec.n}",
@@ -197,18 +184,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    conv = {
-        "n": int, "r": str, "dist": str, "trials": int, "seed": int,
-        "epsilon": float, "workers": int, "out": str,
-    }
-    _merge_config(args, conv)
-    _apply_defaults(
-        args, {"seed": 0, "trials": 1000, "epsilon": DEFAULT_EPSILON, "dist": "const:1"}
-    )
-    _require(args, "n", "r")
     args.workers = _resolve_workers(args.workers)
     spec = _build_spec(args)
-    _echo_config("mc", args, ["n", "r", "dist", "trials", "seed", "epsilon", "workers", "out"])
+    _echo_config(args)
     batch = estimate_moments(
         spec, args.trials, args.seed, workers=args.workers, epsilon=args.epsilon
     )
@@ -217,15 +195,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    conv = {
-        "n": str, "r_rule": str, "dist": str, "trials": int, "seed": int,
-        "epsilon": float, "workers": int, "out": str,
-    }
-    _merge_config(args, conv)
-    _apply_defaults(
-        args, {"seed": 0, "trials": 400, "epsilon": DEFAULT_EPSILON, "dist": "const:1"}
-    )
-    _require(args, "n", "r_rule")
     args.workers = _resolve_workers(args.workers)
     try:
         ns = tuple(int(tok) for tok in args.n.split(","))
@@ -239,9 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         epsilon=args.epsilon,
     )
-    _echo_config(
-        "sweep", args, ["n", "r_rule", "dist", "trials", "seed", "epsilon", "workers", "out"]
-    )
+    _echo_config(args)
     rows = concentration_sweep(plan, workers=args.workers)
     _write_rows(rows, args.out)
     return 0
@@ -257,7 +224,7 @@ def _write_rows(rows, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _echo_config("verify", args, [])
+    _echo_config(args)
     checks = cross_check_suite()
     failures = 0
     for chk in checks:
@@ -273,79 +240,75 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every option: type, default, choices, required."""
+
+    def shared() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+
+    config = shared()
+    config.add_argument("--config", help="flat key=value file of flag values; flags win")
+    model = shared()
+    model.add_argument("--n", type=int, required=True)
+    model.add_argument("--r", required=True, help="row count, or comma list of length n")
+    dist = shared()
+    dist.add_argument("--dist", default="const:1",
+                      help="const:c | uniform:a,b | exp:lam | lognormal:m,s (default %(default)s)")
+    seeded = shared()
+    seeded.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    seeded.add_argument("--out", help="output file (default stdout)")
+    run = shared()
+    run.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                     help="deviation threshold of p_dev (default %(default)s)")
+    run.add_argument("--workers", type=int,
+                     help="trial parallelism (default $PERMLAB_WORKERS or 1)")
+
     parser = argparse.ArgumentParser(
         prog="permlab",
         description="Permanents of row-constrained random matrices: exact "
         "kernels, closed-form moments, and seeded concentration experiments.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("per", help="permanent of a matrix file")
-    p.add_argument("--input", default=None, help="matrix text file")
-    p.add_argument("--algorithm", choices=["naive", "ryser"], default=None,
-                   help="kernel to use (default ryser, the fast Glynn kernel)")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.set_defaults(func=cmd_per)
+    def command(name: str, func, summary: str, parents=()) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=list(parents), allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sample", help="sample one (X, Y) realization")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", default=None, help="row count, or comma list of length n")
-    p.add_argument("--dist", default=None, help="const:c | uniform:a,b | exp:lam | lognormal:m,s")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--trial", type=int, default=None, help="trial index (default 0)")
-    p.add_argument("--matrix", choices=["x", "y"], default=None,
-                   help="which matrix to print (default y)")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sample)
+    p = command("per", cmd_per, "permanent of a matrix file", [config])
+    p.add_argument("--input", required=True, help="matrix text file")
+    p.add_argument("--algorithm", choices=["naive", "ryser"], default="ryser",
+                   help="kernel to use (default %(default)s, the fast Glynn kernel)")
 
-    p = sub.add_parser("moments", help="closed-form moment report for a spec")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", default=None)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_moments)
+    p = command("sample", cmd_sample, "sample one (X, Y) realization",
+                [config, model, dist, seeded])
+    p.add_argument("--trial", type=int, default=0, help="trial index (default %(default)s)")
+    p.add_argument("--matrix", choices=["x", "y"], default="y",
+                   help="which matrix to print (default %(default)s)")
 
-    p = sub.add_parser("mc", help="Monte Carlo batch, one CSV row")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", default=None)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="trial parallelism (default $PERMLAB_WORKERS or 1)")
-    p.add_argument("--out", default=None, help="CSV file (default stdout)")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_mc)
+    command("moments", cmd_moments, "closed-form moment report for a spec", [config, model, dist])
 
-    p = sub.add_parser("sweep", help="dimension sweep, one CSV row per n")
-    p.add_argument("--n", default=None, help="comma list of dimensions")
-    p.add_argument("--r-rule", dest="r_rule", default=None,
-                   help="const:k | sqrt-log | power:p | fixed:a,b,...")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p = command("mc", cmd_mc, "Monte Carlo batch, one CSV row", [config, model, dist, seeded, run])
+    p.add_argument("--trials", type=int, default=1000, help="trial count (default %(default)s)")
 
-    p = sub.add_parser("verify", help="run the cross-oracle identity suite")
-    p.set_defaults(func=cmd_verify)
+    p = command("sweep", cmd_sweep, "dimension sweep, one CSV row per n",
+                [config, dist, seeded, run])
+    p.add_argument("--n", required=True, help="comma list of dimensions")
+    p.add_argument("--r-rule", required=True, help="const:k | sqrt-log | power:p | fixed:a,b,...")
+    p.add_argument("--trials", type=int, default=400, help="trials per row (default %(default)s)")
+
+    command("verify", cmd_verify, "run the cross-oracle identity suite")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_config_argv(argv))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ __all__ = [
     "DenseMatrix",
     "parse_matrix",
     "write_matrix",
-    "distribution_moments",
 ]
 
 
@@ -427,8 +426,3 @@ def parse_matrix(text: str) -> DenseMatrix:
 def write_matrix(m: DenseMatrix) -> str:
     """Text form of a matrix, 17 significant digits, round-trips exactly."""
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in m.entries) + "\n"
-
-
-def distribution_moments(dist: DistributionSpec) -> tuple[float, float]:
-    """Closed-form (nu, delta) of the entry law."""
-    return dist.nu, dist.delta

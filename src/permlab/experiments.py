@@ -166,6 +166,11 @@ def _resolve_workers(workers: int | None) -> int:
     return min(workers, len(os.sched_getaffinity(0)))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def estimate_moments(
     spec: ModelSpec,
     trials: int,
@@ -182,6 +187,7 @@ def estimate_moments(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    _check_epsilon(epsilon)
     nworkers = _resolve_workers(workers)
     if nworkers == 1:
         ratios = _run_range(spec, master_seed, 0, trials)
@@ -222,6 +228,7 @@ class SweepPlan:
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
         if self.trials < 2:
             raise ValueError("need at least 2 trials per sweep row")
+        _check_epsilon(self.epsilon)
         for n in self.ns:
             # raises if the induced counts fall outside 1..n
             self.spec_for(n)

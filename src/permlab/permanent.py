@@ -132,14 +132,12 @@ def _glynn_value(a: np.ndarray) -> ScaledValue:
 def per_ryser(m: DenseMatrix) -> ScaledValue:
     """Permanent via Glynn's formula over column sign patterns, O(2^(n-1) * n).
 
-    Guarded at n <= 30. Exactly zero when the support has no perfect
-    matching. Agrees with per_naive to a relative error below 1e-10 for
-    n <= 10 on nonnegative input; the public name stays for its callers.
+    ``per_scaled`` with unit row scales, so bit-identical to it. Guarded at
+    n <= 30. Exactly zero when the support has no perfect matching. Agrees
+    with per_naive to a relative error below 1e-10 for n <= 10 on
+    nonnegative input; the public name stays for its callers.
     """
-    n = m.n
-    if n > RYSER_MAX_N:
-        raise SizeLimitError(f"per_ryser limited to n <= {RYSER_MAX_N}, got {n}")
-    return _glynn_value(m.entries)
+    return per_scaled(m, np.ones(m.n))
 
 
 def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
@@ -158,7 +156,7 @@ def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
         raise ValueError("row scales must be finite and positive")
     if n > RYSER_MAX_N:
-        raise SizeLimitError(f"per_scaled limited to n <= {RYSER_MAX_N}, got {n}")
+        raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {n}")
     v = _glynn_value(m.entries / scales[:, None])
     log_restore = math.fsum(math.log(s) for s in scales)
     return v.scaled_by_log(log_restore)

@@ -196,6 +196,17 @@ class TestMcSweep:
         assert main(args) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("cmd", [
+        ["mc", "--n", "3", "--r", "2", "--trials", "10", "--epsilon", "nan"],
+        ["mc", "--n", "3", "--r", "2", "--trials", "10", "--epsilon", "0"],
+        ["mc", "--n", "3", "--r", "2", "--trials", "10", "--epsilon", "-1"],
+        ["sweep", "--n", "3,4", "--r-rule", "const:2", "--trials", "10", "--epsilon", "nan"],
+    ], ids=["mc-nan", "mc-zero", "mc-negative", "sweep-nan"])
+    def test_bad_epsilon_exit_2(self, cmd, capsys):
+        assert main(cmd) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path, capsys):
@@ -233,6 +244,37 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=3\n")
         assert main(["mc", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("cmd, text", [
+        ("per", "input={matrix}\nalgorithm=bogus\n"),
+        ("sample", "n=3\nr=2\nmatrix=z\n"),
+    ], ids=["algorithm", "matrix"])
+    def test_bad_choice_exit_2(self, cmd, text, tmp_path, matrix_file, capsys):
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(text.format(matrix=matrix_file))
+        assert main([cmd, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_sample_out_from_config(self, tmp_path, capsys):
+        out = tmp_path / "y.txt"
+        cfg = tmp_path / "sample.cfg"
+        cfg.write_text(f"n=3\nr=2\nseed=1\nout={out}\n")
+        assert main(["sample", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().count("\n") == 3
+
+    def test_abbreviated_key_exit_2(self, tmp_path, capsys):
+        # "trial" must not be taken as a prefix of --trials
+        cfg = tmp_path / "abbr.cfg"
+        cfg.write_text("n=3\nr=2\ntrial=7\n")
+        assert main(["mc", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_config_key_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text(f"n=3\nr=2\nconfig={cfg}\n")
+        assert main(["mc", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

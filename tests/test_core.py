@@ -12,7 +12,6 @@ from permlab.core import (
     ParseError,
     ScaledValue,
     ShapeError,
-    distribution_moments,
     parse_matrix,
     write_matrix,
 )
@@ -79,24 +78,26 @@ class TestScaledValue:
 
 class TestDistributionSpec:
     def test_constant_moments(self):
-        assert distribution_moments(DistributionSpec.constant(1)) == (1.0, 1.0)
-        nu, delta = distribution_moments(DistributionSpec.constant(3.0))
-        assert (nu, delta) == (3.0, 9.0)
+        one = DistributionSpec.constant(1)
+        assert (one.nu, one.delta) == (1.0, 1.0)
+        three = DistributionSpec.constant(3.0)
+        assert (three.nu, three.delta) == (3.0, 9.0)
 
     def test_exponential_moments(self):
-        assert distribution_moments(DistributionSpec.exponential(1)) == (1.0, 2.0)
-        nu, delta = distribution_moments(DistributionSpec.exponential(2.0))
-        assert nu == 0.5 and delta == 0.5
+        one = DistributionSpec.exponential(1)
+        assert (one.nu, one.delta) == (1.0, 2.0)
+        two = DistributionSpec.exponential(2.0)
+        assert two.nu == 0.5 and two.delta == 0.5
 
     def test_uniform_moments(self):
-        nu, delta = distribution_moments(DistributionSpec.uniform(1, 3))
-        assert nu == 2.0
-        assert delta == pytest.approx(13 / 3, rel=1e-15)
+        dist = DistributionSpec.uniform(1, 3)
+        assert dist.nu == 2.0
+        assert dist.delta == pytest.approx(13 / 3, rel=1e-15)
 
     def test_lognormal_moments(self):
-        nu, delta = distribution_moments(DistributionSpec.lognormal(0.0, 1.0))
-        assert nu == pytest.approx(math.exp(0.5), rel=1e-15)
-        assert delta == pytest.approx(math.exp(2.0), rel=1e-15)
+        dist = DistributionSpec.lognormal(0.0, 1.0)
+        assert dist.nu == pytest.approx(math.exp(0.5), rel=1e-15)
+        assert dist.delta == pytest.approx(math.exp(2.0), rel=1e-15)
 
     @given(
         st.sampled_from(["constant", "uniform", "exponential", "lognormal"]),
