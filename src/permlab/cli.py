@@ -27,11 +27,10 @@ from .core import (
     write_matrix,
 )
 from .experiments import (
-    CSV_HEADER,
     DEFAULT_EPSILON,
     SweepPlan,
     _resolve_workers,
-    csv_line,
+    csv_text,
     estimate_moments,
     concentration_sweep,
     summary_row,
@@ -218,9 +217,7 @@ def _write_rows(rows, out: str | None) -> None:
     if out:
         write_csv(rows, out)
     else:
-        print(CSV_HEADER)
-        for row in rows:
-            print(csv_line(row))
+        sys.stdout.write(csv_text(rows))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -130,16 +131,67 @@ class ScaledValue:
         return f"ScaledValue({s}exp({self.log_mag!r}))"
 
 
-_DIST_KINDS = ("constant", "uniform", "exponential", "lognormal")
+_Params = tuple[float, ...]
 
-# CLI/file spelling of each family.
-_DIST_TAGS = {
-    "constant": "const",
-    "uniform": "uniform",
-    "exponential": "exp",
-    "lognormal": "lognormal",
+
+class _Family(NamedTuple):
+    """One entry-law family: its CLI tag and arity, its parameter rule and
+    the message naming it, its closed forms, and the fixed draw of W."""
+
+    tag: str
+    arity: int
+    valid: Callable[[_Params], bool]
+    rule: str
+    nu: Callable[[_Params], float]
+    delta: Callable[[_Params], float]
+    delta_over_nu2: Callable[[_Params], float]
+    scale: Callable[[_Params], float]
+    standard_mean: Callable[[_Params], float]
+    draw: Callable[[_Params, np.random.Generator, tuple[int, ...]], np.ndarray]
+
+
+def _uniform_nu(p: _Params) -> float:
+    return (p[0] + p[1]) / 2.0
+
+
+def _uniform_delta(p: _Params) -> float:
+    return (p[0] ** 2 + p[0] * p[1] + p[1] ** 2) / 3.0
+
+
+# delta_over_nu2 is a closed form per family, so that pure rescalings
+# (constant c, exponential rate, lognormal location) give bit-identical
+# values. Lognormal nu stays exp(m + s^2/2), not scale * standard_mean,
+# which differs in the last bit.
+_FAMILIES: dict[str, _Family] = {
+    "constant": _Family(
+        "const", 1, lambda p: p[0] > 0, "constant distribution requires c > 0",
+        nu=lambda p: p[0], delta=lambda p: p[0] ** 2, delta_over_nu2=lambda p: 1.0,
+        scale=lambda p: p[0], standard_mean=lambda p: 1.0,
+        draw=lambda p, rng, shape: np.ones(shape),
+    ),
+    "uniform": _Family(
+        "uniform", 2, lambda p: 0 < p[0] < p[1], "uniform distribution requires 0 < a < b",
+        nu=_uniform_nu, delta=_uniform_delta,
+        delta_over_nu2=lambda p: _uniform_delta(p) / _uniform_nu(p) ** 2,
+        scale=lambda p: 1.0, standard_mean=_uniform_nu,
+        draw=lambda p, rng, shape: p[0] + (p[1] - p[0]) * rng.random(shape),
+    ),
+    "exponential": _Family(
+        "exp", 1, lambda p: p[0] > 0, "exponential distribution requires rate > 0",
+        nu=lambda p: 1.0 / p[0], delta=lambda p: 2.0 / p[0] ** 2, delta_over_nu2=lambda p: 2.0,
+        scale=lambda p: 1.0 / p[0], standard_mean=lambda p: 1.0,
+        draw=lambda p, rng, shape: rng.standard_exponential(shape, method="inv"),
+    ),
+    "lognormal": _Family(
+        "lognormal", 2, lambda p: p[1] > 0, "lognormal distribution requires scale s > 0",
+        nu=lambda p: math.exp(p[0] + p[1] ** 2 / 2.0),
+        delta=lambda p: math.exp(2.0 * p[0] + 2.0 * p[1] ** 2),
+        delta_over_nu2=lambda p: math.exp(p[1] ** 2),
+        scale=lambda p: math.exp(p[0]), standard_mean=lambda p: math.exp(p[1] ** 2 / 2.0),
+        draw=lambda p, rng, shape: np.exp(p[1] * rng.standard_normal(shape)),
+    ),
 }
-_TAG_TO_KIND = {v: k for k, v in _DIST_TAGS.items()}
+_TAG_TO_KIND = {fam.tag: kind for kind, fam in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -154,6 +206,9 @@ class DistributionSpec:
         exponential lam   (lam > 0)    nu = 1/lam        delta = 2/lam^2
         lognormal m,s     (s > 0)      nu = e^{m+s^2/2}  delta = e^{2m+2s^2}
 
+    ``nu``, ``delta`` and ``delta / nu^2`` must each be a finite positive
+    double; parameters whose moments overflow or underflow are rejected.
+
     Sampling is factored as ``Z = scale * W`` where the law of W does not
     depend on the family's scale parameter (constant: W = 1 with scale c;
     exponential: W ~ Exp(1) by inverse CDF with scale 1/lam; lognormal:
@@ -167,24 +222,25 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind not in _DIST_KINDS:
+        fam = _FAMILIES.get(self.kind)
+        if fam is None:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         p = self.params
-        if self.kind == "constant":
-            if len(p) != 1 or not p[0] > 0:
-                raise ValueError("constant distribution requires c > 0")
-        elif self.kind == "uniform":
-            if len(p) != 2 or not (0 < p[0] < p[1]):
-                raise ValueError("uniform distribution requires 0 < a < b")
-        elif self.kind == "exponential":
-            if len(p) != 1 or not p[0] > 0:
-                raise ValueError("exponential distribution requires rate > 0")
-        else:  # lognormal
-            if len(p) != 2 or not p[1] > 0:
-                raise ValueError("lognormal distribution requires scale s > 0")
+        if len(p) != fam.arity or not fam.valid(p):
+            raise ValueError(fam.rule)
         for v in p:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite distribution parameter {v}")
+        for name in ("nu", "delta", "delta_over_nu2"):
+            try:
+                value = getattr(fam, name)(p)
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{self.spec_string()}: {name} = {value:g} is outside the "
+                    "double range (must be finite and > 0)"
+                )
 
     # -- constructors ------------------------------------------------------
 
@@ -223,75 +279,36 @@ class DistributionSpec:
     def spec_string(self) -> str:
         """Canonical ``kind:params`` form, inverse of ``from_string``."""
         params = ",".join(f"{p:.17g}" for p in self.params)
-        return f"{_DIST_TAGS[self.kind]}:{params}"
+        return f"{_FAMILIES[self.kind].tag}:{params}"
 
     # -- moments -----------------------------------------------------------
 
     @property
     def nu(self) -> float:
         """Mean of a single entry."""
-        p = self.params
-        if self.kind == "constant":
-            return p[0]
-        if self.kind == "uniform":
-            return (p[0] + p[1]) / 2.0
-        if self.kind == "exponential":
-            return 1.0 / p[0]
-        return math.exp(p[0] + p[1] ** 2 / 2.0)
+        return _FAMILIES[self.kind].nu(self.params)
 
     @property
     def delta(self) -> float:
         """Second moment of a single entry."""
-        p = self.params
-        if self.kind == "constant":
-            return p[0] ** 2
-        if self.kind == "uniform":
-            return (p[0] ** 2 + p[0] * p[1] + p[1] ** 2) / 3.0
-        if self.kind == "exponential":
-            return 2.0 / p[0] ** 2
-        return math.exp(2.0 * p[0] + 2.0 * p[1] ** 2)
+        return _FAMILIES[self.kind].delta(self.params)
 
     @property
     def delta_over_nu2(self) -> float:
-        """delta / nu^2, the shape factor entering all second-moment formulas.
-
-        Closed form per family so that pure rescalings (constant c,
-        exponential rate, lognormal location) give bit-identical values.
-        """
-        p = self.params
-        if self.kind == "constant":
-            return 1.0
-        if self.kind == "uniform":
-            return self.delta / self.nu ** 2
-        if self.kind == "exponential":
-            return 2.0
-        return math.exp(p[1] ** 2)
+        """delta / nu^2, the shape factor entering all second-moment formulas."""
+        return _FAMILIES[self.kind].delta_over_nu2(self.params)
 
     # -- scale/standard factorization ---------------------------------------
 
     @property
     def scale(self) -> float:
         """Scale factor in the Z = scale * W factorization."""
-        p = self.params
-        if self.kind == "constant":
-            return p[0]
-        if self.kind == "uniform":
-            return 1.0
-        if self.kind == "exponential":
-            return 1.0 / p[0]
-        return math.exp(p[0])
+        return _FAMILIES[self.kind].scale(self.params)
 
     @property
     def standard_mean(self) -> float:
         """Mean of W, i.e. nu / scale in exact closed form."""
-        p = self.params
-        if self.kind == "constant":
-            return 1.0
-        if self.kind == "uniform":
-            return (p[0] + p[1]) / 2.0
-        if self.kind == "exponential":
-            return 1.0
-        return math.exp(p[1] ** 2 / 2.0)
+        return _FAMILIES[self.kind].standard_mean(self.params)
 
     def sample_standard(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """Draw W with the documented, fixed method per family.
@@ -300,18 +317,7 @@ class DistributionSpec:
         U from ``rng.random``. exponential: ``standard_exponential`` with
         ``method='inv'`` (inverse CDF). lognormal: exp(s * standard normal).
         """
-        p = self.params
-        if self.kind == "constant":
-            return np.ones(shape)
-        if self.kind == "uniform":
-            return p[0] + (p[1] - p[0]) * rng.random(shape)
-        if self.kind == "exponential":
-            return rng.standard_exponential(shape, method="inv")
-        return np.exp(p[1] * rng.standard_normal(shape))
-
-    def sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        """Draw Z = scale * W."""
-        return self.scale * self.sample_standard(rng, shape)
+        return _FAMILIES[self.kind].draw(self.params, rng, shape)
 
 
 @dataclass(frozen=True)

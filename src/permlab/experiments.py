@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import DenseMatrix, DistributionSpec, DomainError, ModelSpec
+from .core import DenseMatrix, DistributionSpec, ModelSpec
 from .model import TrialSeed, _sample_standard_realization
-from .moments import condition_check, exact_second_moment_homogeneous, second_moment_bounds
+from .moments import moment_report
 from .permanent import per_scaled
 
 __all__ = [
@@ -34,15 +34,11 @@ __all__ = [
     "summary_row",
     "concentration_sweep",
     "csv_line",
+    "csv_text",
     "write_csv",
 ]
 
 DEFAULT_EPSILON = 0.1
-
-CSV_HEADER = (
-    "n,r_low,r_up,dist,trials,seed,mean_ratio,se_mean,var_ratio,se_var,"
-    "p_dev,epsilon,a_n,c_n,exact_ratio,bound_low,bound_up"
-)
 
 
 def jackknife_se_of_variance(values: np.ndarray) -> float:
@@ -214,7 +210,7 @@ class SweepPlan:
 
     r rules: ``const:k`` (same count every row), ``sqrt-log``
     (ceil(sqrt(n) ln n)), ``power:p`` (ceil(n^p)), or ``fixed:a,b,...``
-    (explicit vector, single-n plans only).
+    (explicit vector, single-n plans only). Each dimension appears once.
     """
 
     ns: tuple[int, ...]
@@ -229,6 +225,8 @@ class SweepPlan:
         if self.trials < 2:
             raise ValueError("need at least 2 trials per sweep row")
         _check_epsilon(self.epsilon)
+        if len(set(self.ns)) != len(self.ns):
+            raise ValueError(f"dimensions must be distinct, got {self.ns}")
         for n in self.ns:
             # raises if the induced counts fall outside 1..n
             self.spec_for(n)
@@ -255,7 +253,8 @@ def resolve_r_rule(rule: str, n: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SweepRow:
     """One CSV row: model identity, batch summary, diagnostics, and the
-    homogeneous reference values where they apply."""
+    closed-form reference values where they apply. The field order is the
+    CSV column order."""
 
     n: int
     r_low: int
@@ -276,23 +275,17 @@ class SweepRow:
     bound_up: float | None
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+
 def summary_row(batch: TrialBatch) -> SweepRow:
     """Collapse a batch to its CSV row.
 
-    The exact second-moment ratio is included for homogeneous specs with
-    r >= 2 (the closed form is exact there); the sandwich bounds only when
-    the hypothesis r_low >= 6 delta/nu^2 also holds.
+    The reference columns are ``moment_report``'s: the exact ratio where the
+    closed form applies, the sandwich bounds where its hypothesis holds.
     """
     spec = batch.spec
-    cond = condition_check(spec)
-    exact_ratio = None
-    bound_low = bound_up = None
-    if spec.is_homogeneous and spec.r_low >= 2 and spec.n >= 2:
-        exact_ratio = exact_second_moment_homogeneous(spec.n, spec.r_low, spec.dist)
-        try:
-            bound_low, bound_up = second_moment_bounds(spec)
-        except DomainError:
-            pass
+    rep = moment_report(spec)
     return SweepRow(
         n=spec.n,
         r_low=spec.r_low,
@@ -306,11 +299,11 @@ def summary_row(batch: TrialBatch) -> SweepRow:
         se_var=batch.se_var,
         p_dev=batch.p_dev(),
         epsilon=batch.epsilon,
-        a_n=cond.a_n,
-        c_n=cond.c_n,
-        exact_ratio=exact_ratio,
-        bound_low=bound_low,
-        bound_up=bound_up,
+        a_n=rep.a_n,
+        c_n=rep.c_n,
+        exact_ratio=rep.exact_ratio,
+        bound_low=rep.second_moment_lower,
+        bound_up=rep.second_moment_upper,
     )
 
 
@@ -347,25 +340,18 @@ def _csv_cell(value) -> str:
 
 def csv_line(row: SweepRow) -> str:
     """One CSV data line, column order matching CSV_HEADER."""
-    return ",".join(
-        _csv_cell(v)
-        for v in (
-            row.n, row.r_low, row.r_up, row.dist, row.trials, row.seed,
-            row.mean_ratio, row.se_mean, row.var_ratio, row.se_var,
-            row.p_dev, row.epsilon, row.a_n, row.c_n,
-            row.exact_ratio, row.bound_low, row.bound_up,
-        )
-    )
+    return ",".join(_csv_cell(v) for v in astuple(row))
+
+
+def csv_text(rows) -> str:
+    """The header and one line per row, 17 significant digits, LF newlines;
+    identical input produces byte-identical text."""
+    return "\n".join([CSV_HEADER, *map(csv_line, rows)]) + "\n"
 
 
 def write_csv(rows, path: str) -> None:
-    """Write sweep rows (or a single TrialBatch) as CSV.
-
-    Fixed header, 17 significant digits, one data row per dimension, LF
-    newlines; identical input produces byte-identical files.
-    """
+    """Write sweep rows (or a single TrialBatch) as CSV, ``csv_text``'s bytes."""
     if isinstance(rows, TrialBatch):
         rows = [summary_row(rows)]
-    text = "\n".join([CSV_HEADER] + [csv_line(row) for row in rows]) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(csv_text(rows))

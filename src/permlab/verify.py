@@ -9,7 +9,7 @@ from .core import DistributionSpec, ModelSpec, ScaledValue
 from .moments import (
     brute_second_moment_pairs,
     exact_moments_enumerate,
-    exact_second_moment_homogeneous,
+    moment_report,
     mu_n,
 )
 
@@ -74,8 +74,8 @@ def cross_check_suite(
                             _rel_ok(second_pairs, second_oracle))
             )
 
-            if spec.is_homogeneous and spec.r_low >= 2:
-                closed = exact_second_moment_homogeneous(n, spec.r_low, dist)
+            closed = moment_report(spec).exact_ratio
+            if closed is not None:
                 checks.append(
                     OracleCheck(f"{tag} homogeneous-ratio", closed, pair_ratio,
                                 _rel_ok(closed, pair_ratio))

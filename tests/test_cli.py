@@ -138,7 +138,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "(3,(2,2,2),const:1) mean: " in out
         assert "MISMATCH" not in out
-        assert out.strip().endswith("checks passed")
+        assert out.strip().endswith("52/52 checks passed")
 
     def test_injected_mean_typo_fails_suite(self):
         # flip n!/n^n to n^n/n!: every mean check must blow up

@@ -141,6 +141,44 @@ class TestDistributionSpec:
         for text in ("gauss:1", "const", "const:x", "uniform:3,1", "exp:-2"):
             with pytest.raises(ParseError):
                 DistributionSpec.from_string(text)
+        # moments that overflow or underflow a double are named in the error
+        for text, name in (
+            ("lognormal:800,1", "nu"),
+            ("exp:1e-310", "nu"),
+            ("const:1e200", "delta"),
+            ("const:1e-200", "delta"),
+            ("lognormal:0,30", "delta"),
+            ("uniform:1e-300,1e200", "delta"),
+            ("lognormal:-900,28", "delta_over_nu2"),
+        ):
+            with pytest.raises(ParseError, match=f": {name} = "):
+                DistributionSpec.from_string(text)
+
+    def test_closed_forms_and_draws_pinned(self):
+        # one member per family against the documented formulas and numpy
+        # calls; both generators must end in the same state, so constant
+        # (reference np.ones) consumes no draws
+        c, (a, b), lam, (m, s) = 2.5, (1.0, 3.0), 0.25, (1.0, 0.7)
+        cases = (
+            (DistributionSpec.constant(c), (c, c**2, 1.0, c, 1.0),
+             lambda rng, shape: np.ones(shape)),
+            (DistributionSpec.uniform(a, b),
+             ((a + b) / 2.0, (a**2 + a * b + b**2) / 3.0,
+              (a**2 + a * b + b**2) / 3.0 / ((a + b) / 2.0) ** 2, 1.0, (a + b) / 2.0),
+             lambda rng, shape: a + (b - a) * rng.random(shape)),
+            (DistributionSpec.exponential(lam), (1.0 / lam, 2.0 / lam**2, 2.0, 1.0 / lam, 1.0),
+             lambda rng, shape: rng.standard_exponential(shape, method="inv")),
+            (DistributionSpec.lognormal(m, s),
+             (math.exp(m + s**2 / 2.0), math.exp(2.0 * m + 2.0 * s**2), math.exp(s**2),
+              math.exp(m), math.exp(s**2 / 2.0)),
+             lambda rng, shape: np.exp(s * rng.standard_normal(shape))),
+        )
+        for dist, forms, draw in cases:
+            got = (dist.nu, dist.delta, dist.delta_over_nu2, dist.scale, dist.standard_mean)
+            assert got == forms, dist
+            rng, ref = np.random.default_rng(42), np.random.default_rng(42)
+            assert np.array_equal(dist.sample_standard(rng, (3, 4)), draw(ref, (3, 4)))
+            assert rng.random() == ref.random(), dist
 
     def test_scale_standard_factorization(self):
         rng = np.random.default_rng(0)

@@ -23,6 +23,7 @@ from permlab.experiments import (
     write_csv,
 )
 from permlab.model import TrialSeed, sample_constrained_matrix
+from permlab.moments import moment_report
 
 CONST1 = DistributionSpec.constant(1)
 SPEC3 = ModelSpec(3, (2, 2, 2), CONST1)
@@ -234,6 +235,8 @@ class TestRRules:
             SweepPlan(ns=(4,), r_rule="const:5", dist=CONST1, trials=10, master_seed=0)
         with pytest.raises(ValueError):
             SweepPlan(ns=(3, 4), r_rule="fixed:1,2,3", dist=CONST1, trials=10, master_seed=0)
+        with pytest.raises(ValueError, match="distinct"):
+            SweepPlan(ns=(3, 3), r_rule="const:2", dist=CONST1, trials=10, master_seed=0)
 
 
 class TestSweepAndCsv:
@@ -276,10 +279,17 @@ class TestSweepAndCsv:
         row = summary_row(batch)
         assert row.bound_low is not None and row.bound_up is not None
         assert row.bound_low < row.exact_ratio < row.bound_up
-        # heterogeneous: no reference columns
+        # heterogeneous with r_low = 1: no reference columns
         batch = estimate_moments(ModelSpec(3, (1, 2, 3), CONST1), 20, 1)
         row = summary_row(batch)
         assert row.exact_ratio is None and row.bound_low is None
+        # heterogeneous meeting r_low >= 6 delta/nu^2: moment_report's bounds
+        spec = ModelSpec(8, (6, 7, 7, 7, 7, 7, 7, 8), CONST1)
+        row = summary_row(estimate_moments(spec, 5, 1))
+        rep = moment_report(spec)
+        assert row.exact_ratio is None
+        assert (row.bound_low, row.bound_up) == (rep.second_moment_lower, rep.second_moment_upper)
+        assert row.bound_low is not None
 
     def test_sweep_rows_one_per_n(self):
         plan = SweepPlan(ns=(3, 4, 5), r_rule="const:2", dist=CONST1, trials=30, master_seed=2)
