@@ -44,14 +44,11 @@ from .moments import (
     brute_second_moment_pairs,
     condition_check,
     exact_moments_enumerate,
-    exact_second_moment_homogeneous,
     moment_report,
     MomentReport,
     mu_n,
     pair_moment,
     second_moment_bounds,
-    second_moment_series,
-    subfactorial_b,
     vdw_bound,
 )
 from .permanent import per_naive, per_ryser, per_scaled
@@ -84,7 +81,6 @@ __all__ = [
     "enumerate_constraint_matrices",
     "estimate_moments",
     "exact_moments_enumerate",
-    "exact_second_moment_homogeneous",
     "moment_report",
     "mu_n",
     "pair_moment",
@@ -97,8 +93,6 @@ __all__ = [
     "sample_constrained_matrix",
     "sample_row_support",
     "second_moment_bounds",
-    "second_moment_series",
-    "subfactorial_b",
     "summary_row",
     "trial_rng",
     "vdw_bound",

@@ -56,9 +56,8 @@ class ScaledValue:
 
     Represents exactly zero when ``is_zero`` is set, otherwise
     ``sign * exp(log_mag)``. Zero is a distinct flag rather than
-    ``log_mag = -inf`` so that products and ratios of nonzero values never
-    produce NaNs. Multiplication adds log magnitudes; division subtracts
-    them, which keeps ratios of astronomically large values exact.
+    ``log_mag = -inf``, so ``log_mag`` is always finite and rescaling by a
+    log factor never produces NaNs.
     """
 
     is_zero: bool
@@ -107,22 +106,6 @@ class ScaledValue:
         if self.is_zero:
             return self
         return ScaledValue(False, self.log_mag + log_factor, self.sign)
-
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ScaledValue.zero()
-        return ScaledValue(False, self.log_mag + other.log_mag, self.sign * other.sign)
-
-    def __truediv__(self, other: "ScaledValue") -> "ScaledValue":
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero ScaledValue")
-        if self.is_zero:
-            return ScaledValue.zero()
-        return ScaledValue(False, self.log_mag - other.log_mag, self.sign * other.sign)
 
     def __repr__(self) -> str:
         if self.is_zero:

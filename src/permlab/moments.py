@@ -9,27 +9,23 @@ and mu its expectation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DistributionSpec, DomainError, ModelSpec, ScaledValue, SizeLimitError
+from .core import DomainError, ModelSpec, ScaledValue, SizeLimitError
 from .model import constraint_class_size, ENUMERATION_MAX_CLASS
 
 __all__ = [
-    "subfactorial_b",
-    "second_moment_series",
     "mu_n",
     "vdw_bound",
     "AlphaBeta",
     "alpha_beta",
     "second_moment_bounds",
-    "exact_second_moment_homogeneous",
     "pair_moment",
     "brute_second_moment_pairs",
     "exact_moments_enumerate",
@@ -43,38 +39,6 @@ __all__ = [
 
 PAIRS_MAX_N = 7
 ENUMERATE_MAX_N = 6
-
-
-@lru_cache(maxsize=None)
-def subfactorial_b(j: int) -> Fraction:
-    """Exact truncated alternating exponential sum, sum_{l<=j} (-1)^l / l!.
-
-    j! * b_j is the number of derangements of j elements.
-    """
-    if j < 0:
-        raise ValueError(f"j must be nonnegative, got {j}")
-    if j == 0:
-        return Fraction(1)
-    return subfactorial_b(j - 1) + Fraction((-1) ** j, math.factorial(j))
-
-
-def second_moment_series(n: int, beta: float) -> float:
-    """sum_{k=0}^{n} beta^k / k! * b_{n-k} for beta > 0.
-
-    Every term is nonnegative (b_j >= 0), so the sum is accumulated from
-    log-space terms with exact summation; the rational b factors are
-    converted to float only at the final multiply.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    log_beta = math.log(beta)
-    terms = []
-    for k in range(n + 1):
-        b = subfactorial_b(n - k)
-        if b == 0:
-            continue
-        terms.append(math.exp(k * log_beta - math.lgamma(k + 1)) * float(b))
-    return math.fsum(terms)
 
 
 def mu_n(spec: ModelSpec) -> ScaledValue:
@@ -158,24 +122,6 @@ def second_moment_bounds(spec: ModelSpec) -> tuple[float, float]:
     return lower, upper
 
 
-def exact_second_moment_homogeneous(n: int, r: int, dist: DistributionSpec) -> float:
-    """Exact ratio E T^2 / mu^2 for equal row counts:
-
-        alpha * sum_{k=0}^{n} beta^k / k! * b_{n-k}
-
-    with alpha, beta from ``alpha_beta`` on the homogeneous spec (the upper
-    and lower factors coincide there, and the per-pair bound they come from
-    is an equality). Heterogeneous row counts have no closed form here; use
-    the pair or enumeration oracles.
-    """
-    if r < 2:
-        raise DomainError(f"closed-form ratio needs r >= 2, got r={r}")
-    if n < 2:
-        raise DomainError(f"closed-form ratio needs n >= 2, got n={n}")
-    ab = alpha_beta(ModelSpec.homogeneous(n, r, dist))
-    return ab.alpha_up * second_moment_series(n, ab.beta_up)
-
-
 def _check_permutation(sigma, n: int) -> tuple[int, ...]:
     sig = tuple(int(v) for v in sigma)
     if len(sig) != n or sorted(sig) != list(range(n)):
@@ -230,7 +176,61 @@ def brute_second_moment_pairs(spec: ModelSpec) -> tuple[float, float]:
     return second, ratio
 
 
-@lru_cache(maxsize=None)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k!, k = 0..n: a running sum of log k with each addition's rounding
+    error recovered exactly (TwoSum) and added back. Within 0.65 ulp for
+    k <= 3000, where math.lgamma is off by up to 3.2 ulp (2 ulp at log 3!)."""
+    logs = np.log(np.arange(1.0, n + 1))
+    total = np.cumsum(logs)
+    prev = np.concatenate(([0.0], total[:-1]))
+    part = total - prev
+    lost = (prev - (total - part)) + (logs - part)
+    return np.concatenate(([0.0], total + np.cumsum(lost)))
+
+
+def _exact_ratio(spec: ModelSpec) -> float:
+    """Exact E T^2 / mu^2 = sum_{k=0}^{n} b_{n-k} / k! * g_k for any spec, n >= 2.
+
+    ``pair_moment`` over mu^2/(n!)^2 is prod_{i in S} d_i prod_{i not in S} o_i
+    for agreement set S, d_i = (delta/nu^2) n/r_i, o_i = (1 - 1/r_i) n/(n-1).
+    (n-k)! b_{n-k} permutations fix exactly a given k-set, so g_k is that
+    product's mean over k-subsets; for equal rows g_k = d^k o^{n-k}, giving the
+    paper's alpha sum beta^k/k! b_{n-k} (alpha = o^n, beta = d/o).
+
+    g is built in log space per distinct row count: m equal rows need no sum,
+    and groups of sizes a, b merge with weights C(a,i) C(b,j) / C(a+b,i+j).
+    No term is negative, so nothing cancels; past the double range the ratio
+    is inf. b_j = sum_{l<=j} (-1)^l/l! are float partial sums, good to a few
+    ulps since b_0 = 1, b_1 = 0 and b_j is in [1/3, 1/2] for j >= 2.
+    """
+    n = spec.n
+    log_fact = _log_factorials(n)
+
+    def log_binom(m, j):
+        return log_fact[m] - log_fact[j] - log_fact[m - j]
+
+    log_g = None
+    for ri, m in zip(*np.unique(spec.r, return_counts=True)):
+        j = np.arange(m + 1)
+        o = (1.0 - 1.0 / ri) * n / (n - 1.0)
+        # r_i = 1 gives o_i = 0: only j = m, all rows agreeing, survives
+        log_o_pow = (m - j) * math.log(o) if o > 0 else np.where(j == m, 0.0, -np.inf)
+        group = j * math.log(spec.dist.delta_over_nu2 * n / ri) + log_o_pow
+        if log_g is None:
+            log_g = group
+            continue
+        a = len(log_g) - 1
+        merged = np.full(a + m + 1, -np.inf)
+        weighted = log_g + log_binom(a, np.arange(a + 1))
+        for i, term in enumerate(group + log_binom(m, j)):
+            merged[i:i + a + 1] = np.logaddexp(merged[i:i + a + 1], weighted + term)
+        log_g = merged - log_binom(a + m, np.arange(a + m + 1))
+    b = np.cumsum(np.concatenate(([1.0], np.cumprod(-1.0 / np.arange(1, n + 1)))))
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(log_g - log_fact + np.log(b[::-1])).sum())
+
+
+@functools.cache
 def _enumeration_invariants(n: int, r: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     """Exact integer aggregates over the whole constraint class:
 
@@ -386,10 +386,9 @@ def moment_report(spec: ModelSpec) -> MomentReport:
     """Assemble every closed form that applies to the spec.
 
     alpha/beta need r_low >= 2; the sandwich additionally needs
-    r_low >= 6 delta/nu^2; vdw, theta, and the exact ratio are homogeneous
-    only. The exact ratio is reported whenever homogeneous with r >= 2 and
-    n >= 2 (the closed form is exact there regardless of the sandwich
-    hypothesis).
+    r_low >= 6 delta/nu^2; vdw and theta are homogeneous only. The exact
+    ratio is reported for every spec with n >= 2, whatever the row counts
+    and whether or not the sandwich hypothesis holds.
     """
     mu = mu_n(spec)
     cond = condition_check(spec)
@@ -406,12 +405,8 @@ def moment_report(spec: ModelSpec) -> MomentReport:
             lower, upper = second_moment_bounds(spec)
         except DomainError as exc:
             failure = str(exc)
-    vdw = None
-    exact_ratio = None
-    if spec.is_homogeneous:
-        vdw = vdw_bound(spec.n, spec.r_low)
-        if spec.r_low >= 2 and spec.n >= 2:
-            exact_ratio = exact_second_moment_homogeneous(spec.n, spec.r_low, spec.dist)
+    vdw = vdw_bound(spec.n, spec.r_low) if spec.is_homogeneous else None
+    exact_ratio = _exact_ratio(spec) if spec.n >= 2 else None
     return MomentReport(
         mu=mu,
         alpha_up=alpha_up,

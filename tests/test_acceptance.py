@@ -32,12 +32,12 @@ from permlab.moments import (
     alpha_beta,
     brute_second_moment_pairs,
     exact_moments_enumerate,
-    exact_second_moment_homogeneous,
+    moment_report,
     mu_n,
     second_moment_bounds,
-    second_moment_series,
 )
 from permlab.permanent import per_naive, per_ryser
+from paper_series import second_moment_series
 
 CONST1 = DistributionSpec.constant(1)
 EXP1 = DistributionSpec.exponential(1)
@@ -55,6 +55,10 @@ def rel_err(got, want):
     if want == 0:
         return abs(got)
     return abs(got - want) / abs(want)
+
+
+def exact_ratio(n, r, dist):
+    return moment_report(ModelSpec.homogeneous(n, r, dist)).exact_ratio
 
 
 # -- criterion 1: mean formula at desk scale ---------------------------------
@@ -102,11 +106,11 @@ def test_criterion_3_homogeneous_closed_form():
         for r in range(2, n + 1):
             for dist in DISTS:
                 spec = ModelSpec.homogeneous(n, r, dist)
-                closed = exact_second_moment_homogeneous(n, r, dist)
+                closed = exact_ratio(n, r, dist)
                 _, pair_ratio = brute_second_moment_pairs(spec)
                 assert rel_err(closed, pair_ratio) < REL, (n, r, dist)
         # degenerate full support with constant entries: ratio is exactly 1
-        assert abs(exact_second_moment_homogeneous(n, n, CONST1) - 1.0) < 1e-12
+        assert abs(exact_ratio(n, n, CONST1) - 1.0) < 1e-12
 
 
 # -- criterion 4: kernel agreement --------------------------------------------
@@ -150,7 +154,7 @@ def test_criterion_5_sandwich_bounds():
                 continue
             spec = ModelSpec.homogeneous(n, r, CONST1)
             lower, upper = second_moment_bounds(spec)
-            exact = exact_second_moment_homogeneous(n, r, CONST1)
+            exact = exact_ratio(n, r, CONST1)
             if not lower <= exact <= upper:
                 failures.append((n, r, lower, exact, upper))
 
@@ -235,7 +239,7 @@ def sweep_power():
 
 def _power_rule_variance(n):
     r = resolve_r_rule("power:0.75", n)[0]
-    return exact_second_moment_homogeneous(n, r, CONST1) - 1.0
+    return exact_ratio(n, r, CONST1) - 1.0
 
 
 def test_criterion_8_power_rule_sample_variance_decreases(sweep_power):
@@ -280,7 +284,7 @@ def test_criterion_8_const_rule_population_variance_increases():
     # ratio grows exponentially in n
     theta = (1 - 1 / 3) * math.exp(1 / 2)
     assert theta > 1
-    pops = [exact_second_moment_homogeneous(n, 3, CONST1) - 1.0 for n in SWEEP_NS]
+    pops = [exact_ratio(n, 3, CONST1) - 1.0 for n in SWEEP_NS]
     assert all(a < b for a, b in zip(pops, pops[1:])), pops
     # growth factor per dimension step approaches theta
     ratios = [
@@ -297,7 +301,7 @@ def test_criterion_8_const_rule_sample_variance_tracks_growth():
     print(f"const:3 sample variances over n={SWEEP_NS}: {svars}")
     # not tending to zero: every sample variance stays above the n=8
     # population variance, and the trend is increasing overall
-    floor = exact_second_moment_homogeneous(8, 3, CONST1) - 1.0
+    floor = exact_ratio(8, 3, CONST1) - 1.0
     assert all(v > 0.5 * floor for v in svars)
     assert svars[-1] > svars[0]
 

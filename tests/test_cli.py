@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -104,6 +105,16 @@ class TestMoments:
         assert main(["moments", "--n", "12", "--r", "8", "--dist", "const:1"]) == 0
         out = capsys.readouterr().out
         assert "bound_low = " in out and "bound_up = " in out
+
+    @pytest.mark.parametrize("n,r", [("500", "50"), ("1000", "100")])
+    def test_large_n_exact_ratio(self, n, r, capsys):
+        assert main(["moments", "--n", n, "--r", r]) == 0
+        vals = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert 1.0 < float(vals["exact_ratio"]) < math.inf
+
+    def test_ratio_beyond_double_range_prints_inf(self, capsys):
+        assert main(["moments", "--n", "3000", "--r", "2"]) == 0
+        assert "exact_ratio = inf\n" in capsys.readouterr().out
 
 
 class TestSample:
@@ -275,6 +286,15 @@ class TestConfigFile:
         cfg.write_text(f"n=3\nr=2\nconfig={cfg}\n")
         assert main(["mc", "--config", str(cfg)]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestImports:
+    def test_cli_loads_neither_fractions_nor_scipy(self):
+        # the package declares numpy only, and import time is start-up cost
+        probe = "import sys, permlab.cli; print(sorted({'fractions', 'scipy'} & set(sys.modules)))"
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
 
 
 class TestDeterminism:

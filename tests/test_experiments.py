@@ -279,17 +279,19 @@ class TestSweepAndCsv:
         row = summary_row(batch)
         assert row.bound_low is not None and row.bound_up is not None
         assert row.bound_low < row.exact_ratio < row.bound_up
-        # heterogeneous with r_low = 1: no reference columns
-        batch = estimate_moments(ModelSpec(3, (1, 2, 3), CONST1), 20, 1)
-        row = summary_row(batch)
-        assert row.exact_ratio is None and row.bound_low is None
-        # heterogeneous meeting r_low >= 6 delta/nu^2: moment_report's bounds
+        # heterogeneous with r_low = 1: the exact ratio only, no bounds
+        spec = ModelSpec(3, (1, 2, 3), CONST1)
+        row = summary_row(estimate_moments(spec, 20, 1))
+        assert row.exact_ratio == moment_report(spec).exact_ratio
+        assert row.exact_ratio == pytest.approx(1.125, rel=1e-12)
+        assert row.bound_low is None
+        # heterogeneous meeting r_low >= 6 delta/nu^2: moment_report's values
         spec = ModelSpec(8, (6, 7, 7, 7, 7, 7, 7, 8), CONST1)
         row = summary_row(estimate_moments(spec, 5, 1))
         rep = moment_report(spec)
-        assert row.exact_ratio is None
+        assert row.exact_ratio == rep.exact_ratio
         assert (row.bound_low, row.bound_up) == (rep.second_moment_lower, rep.second_moment_upper)
-        assert row.bound_low is not None
+        assert row.bound_low < row.exact_ratio < row.bound_up
 
     def test_sweep_rows_one_per_n(self):
         plan = SweepPlan(ns=(3, 4, 5), r_rule="const:2", dist=CONST1, trials=30, master_seed=2)

@@ -12,14 +12,18 @@ from permlab.moments import (
     brute_second_moment_pairs,
     condition_check,
     exact_moments_enumerate,
-    exact_second_moment_homogeneous,
     moment_report,
     mu_n,
     pair_moment,
     second_moment_bounds,
+    vdw_bound,
+)
+from permlab.verify import VERIFY_SPECS
+from paper_series import (
+    exact_second_moment_homogeneous,
+    log_second_moment_series,
     second_moment_series,
     subfactorial_b,
-    vdw_bound,
 )
 
 CONST1 = DistributionSpec.constant(1)
@@ -155,7 +159,7 @@ class TestSecondMomentBounds:
     def test_sandwich_contains_exact_homogeneous_ratio(self):
         spec = ModelSpec.homogeneous(12, 8, CONST1)
         lower, upper = second_moment_bounds(spec)
-        exact = exact_second_moment_homogeneous(12, 8, CONST1)
+        exact = moment_report(spec).exact_ratio
         assert lower < exact < upper
 
     def test_full_support_limit(self):
@@ -167,18 +171,22 @@ class TestSecondMomentBounds:
         assert upper == pytest.approx(1 + slack, rel=1e-12)
 
 
+def exact_ratio(n, r, dist):
+    return moment_report(ModelSpec.homogeneous(n, r, dist)).exact_ratio
+
+
 class TestExactHomogeneousRatio:
     def test_anchor_3_2(self):
-        assert exact_second_moment_homogeneous(3, 2, CONST1) == pytest.approx(1.125, rel=1e-12)
+        assert exact_ratio(3, 2, CONST1) == pytest.approx(1.125, rel=1e-12)
 
     def test_full_support_is_one(self):
         for n in (3, 5, 8):
-            assert exact_second_moment_homogeneous(n, n, CONST1) == pytest.approx(1.0, rel=1e-12)
+            assert exact_ratio(n, n, CONST1) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_pair_sum_with_exponential_entries(self):
         want, _ = brute_second_moment_pairs(ModelSpec.homogeneous(4, 2, EXP1))
         mu = mu_n(ModelSpec.homogeneous(4, 2, EXP1)).to_float()
-        got = exact_second_moment_homogeneous(4, 2, EXP1) * mu * mu
+        got = exact_ratio(4, 2, EXP1) * mu * mu
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_requires_r_2(self):
@@ -189,8 +197,47 @@ class TestExactHomogeneousRatio:
         # delta/nu^2 grid via lognormal scale, holding (n, r) fixed
         dists = [CONST1] + [DistributionSpec.lognormal(0.0, s) for s in (0.2, 0.5, 0.8, 1.0)]
         for n, r in ((6, 3), (9, 5)):
-            ratios = [exact_second_moment_homogeneous(n, r, d) for d in dists]
+            ratios = [exact_ratio(n, r, d) for d in dists]
             assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+class TestExactRatioIdentity:
+    """moment_report's exact ratio for any row counts, against the pair sum
+    and, for equal row counts, against the paper's series."""
+
+    def test_matches_pair_sum_on_verify_menu(self):
+        for dist in (CONST1, EXP1):
+            for n, r in VERIFY_SPECS:
+                spec = ModelSpec(n, r, dist)
+                _, want = brute_second_moment_pairs(spec)
+                assert rel_err(moment_report(spec).exact_ratio, want) < 1e-12, (n, r, dist)
+
+    def test_matches_pair_sum_on_random_specs(self):
+        rng = np.random.default_rng(20240611)
+        dists = [CONST1, EXP1, DistributionSpec.lognormal(0.3, 0.8), DistributionSpec.uniform(1, 2)]
+        unit_rows = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            r = tuple(int(v) for v in rng.integers(1, n + 1, size=n))
+            unit_rows += 1 in r
+            spec = ModelSpec(n, r, dists[int(rng.integers(0, len(dists)))])
+            _, want = brute_second_moment_pairs(spec)
+            assert rel_err(moment_report(spec).exact_ratio, want) < 1e-12, spec
+        assert unit_rows > 50
+
+    def test_matches_paper_series_homogeneous(self):
+        for n in range(2, 61):
+            for r in range(2, n + 1):
+                for dist in (CONST1, EXP1):
+                    want = exact_second_moment_homogeneous(n, r, dist)
+                    assert rel_err(exact_ratio(n, r, dist), want) < 1e-12, (n, r, dist)
+        for n, r in ((300, 3), (400, 60)):
+            want = exact_second_moment_homogeneous(n, r, CONST1)
+            assert rel_err(exact_ratio(n, r, CONST1), want) < 1e-11, (n, r)
 
 
 class TestPairMoment:
@@ -382,6 +429,25 @@ class TestSandwichAtAllScales:
             lower = ab.alpha_low * second_moment_series(n, ab.beta_low)
             upper = ab.alpha_up * second_moment_series(n, ab.beta_up)
             assert lower - 1e-9 <= ratio <= upper + 1e-9
+
+    def test_bracket_holds_at_large_n(self):
+        # the same bracket, far beyond the pair-sum oracle, against the exact
+        # ratio; compared in logs, with S from float b_j. Row counts span a
+        # band of about 1/8 of its floor, so the bracket stays narrow.
+        rng = np.random.default_rng(7)
+        dists = [CONST1, EXP1, DistributionSpec.lognormal(0.0, 0.5)]
+        for n in (10, 30, 100, 300, 1000):
+            for _ in range(8):
+                floor = int(rng.integers(max(2, n // 50), n))
+                top = min(n, floor + max(1, floor // 8))
+                r = tuple(int(v) for v in rng.integers(floor, top + 1, size=n))
+                spec = ModelSpec(n, r, dists[int(rng.integers(0, len(dists)))])
+                rep = moment_report(spec)
+                log_ratio = math.log(rep.exact_ratio)
+                low = math.log(rep.alpha_low) + log_second_moment_series(n, rep.beta_low)
+                up = math.log(rep.alpha_up) + log_second_moment_series(n, rep.beta_up)
+                assert low - 1e-12 <= log_ratio <= up + 1e-12, (n, spec.r_low, spec.r_up)
+                assert spec.r_low < spec.r_up
 
 
 class TestMomentReport:
