@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .core import (
     DistributionSpec,
     DomainError,
@@ -38,7 +40,7 @@ from .experiments import (
 )
 from .model import TrialSeed, sample_constrained_matrix
 from .moments import moment_report
-from .permanent import per_naive, per_ryser
+from .permanent import per_naive, per_ryser, per_scaled
 from .verify import cross_check_suite
 
 __all__ = ["main", "build_parser"]
@@ -123,7 +125,16 @@ def cmd_per(args: argparse.Namespace) -> int:
     _echo_config(args)
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
-    value = per_naive(m) if args.algorithm == "naive" else per_ryser(m)
+    rowsums = m.entries.sum(axis=1)
+    if args.algorithm == "naive":
+        value = per_naive(m)
+    elif rowsums.min() == 0 or abs(np.log2(rowsums).sum()) <= 900:
+        value = per_ryser(m)
+    else:
+        # prod rowsum is outside [2^-900, 2^900], where the unscaled pass
+        # underflows or overflows; rows scaled by their sums keep the
+        # magnitude in log space
+        value = per_scaled(m, rowsums)
     if value.is_zero:
         print("per = 0  log_per = -inf")
     else:

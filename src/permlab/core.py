@@ -4,6 +4,7 @@ that overflow plain floats."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -100,12 +101,6 @@ class ScaledValue:
         except OverflowError:
             mag = math.inf
         return self.sign * mag
-
-    def scaled_by_log(self, log_factor: float) -> "ScaledValue":
-        """Multiply by exp(log_factor), staying in log space."""
-        if self.is_zero:
-            return self
-        return ScaledValue(False, self.log_mag + log_factor, self.sign)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -329,15 +324,16 @@ class ModelSpec:
     def homogeneous(n: int, r: int, dist: DistributionSpec) -> "ModelSpec":
         return ModelSpec(n, (r,) * n, dist)
 
-    @property
+    # Computed once per instance; equality and hashing stay on the fields.
+    @functools.cached_property
     def r_low(self) -> int:
         return min(self.r)
 
-    @property
+    @functools.cached_property
     def r_up(self) -> int:
         return max(self.r)
 
-    @property
+    @functools.cached_property
     def is_homogeneous(self) -> bool:
         return self.r_low == self.r_up
 

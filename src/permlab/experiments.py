@@ -16,10 +16,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import DenseMatrix, DistributionSpec, ModelSpec
-from .model import TrialSeed, _sample_standard_realization
+from .core import DistributionSpec, ModelSpec
+from .model import TrialSeed, _sample_standard_realizations
 from .moments import moment_report
-from .permanent import per_scaled
+from .permanent import _glynn_logs, _stack_size
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -59,6 +59,23 @@ def jackknife_se_of_variance(values: np.ndarray) -> float:
     return math.sqrt((m - 1) / m * float(centered @ centered))
 
 
+def _trial_ratios(spec: ModelSpec, seeds) -> np.ndarray:
+    """T/mu for each trial in ``seeds``, sampled and evaluated as one stack.
+
+    Row i of X*W is divided by r_i * E[W] before the Glynn pass, and the
+    permanent is divided by the expected permanent in log space; log mu0
+    carries the same row scales, so they cancel up to rounding.
+    """
+    x, w = _sample_standard_realizations(spec, seeds)
+    n = spec.n
+    scales = np.array(spec.r) * spec.dist.standard_mean
+    log_scales = math.fsum(math.log(s) for s in scales)
+    log_mu0 = log_scales + (math.log(math.factorial(n)) - n * math.log(n))
+    logs = _glynn_logs(x * w / scales[:, None])
+    return np.array([0.0 if lv == -math.inf else math.exp(lv + log_scales - log_mu0)
+                     for lv in logs])
+
+
 def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     """One realization of T/mu.
 
@@ -69,22 +86,18 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     cancelled algebraically rather than numerically; ratios are therefore
     bit-identical across pure rescalings of the entry law. The ratio is
     exactly 0.0 when, and only when, the support has no perfect matching.
+    A one-trial stack of the batch path, so bit-identical to it.
     """
-    x, w = _sample_standard_realization(spec, seed)
-    nu0 = spec.dist.standard_mean
-    scales = [ri * nu0 for ri in spec.r]
-    sv = per_scaled(DenseMatrix(x * w), scales)
-    if sv.is_zero:
-        return 0.0
-    n = spec.n
-    log_mu0 = math.fsum(math.log(s) for s in scales) + (
-        math.log(math.factorial(n)) - n * math.log(n)
-    )
-    return math.exp(sv.log_mag - log_mu0)
+    return float(_trial_ratios(spec, [seed])[0])
 
 
-def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> list[float]:
-    return [run_trial(spec, TrialSeed(master_seed, i)) for i in range(start, stop)]
+def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Ratios of trials start..stop-1, in stacks of ``_stack_size(n)``."""
+    step = _stack_size(spec.n)
+    return np.concatenate([
+        _trial_ratios(spec, [TrialSeed(master_seed, i) for i in range(a, min(a + step, stop))])
+        for a in range(start, stop, step)
+    ])
 
 
 @dataclass(frozen=True)
@@ -190,17 +203,15 @@ def estimate_moments(
     else:
         bounds = np.linspace(0, trials, 4 * nworkers + 1, dtype=int)
         spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        ratios = []
         with ProcessPoolExecutor(max_workers=min(nworkers, len(spans))) as pool:
             futures = [pool.submit(_run_range, spec, master_seed, a, b) for a, b in spans]
-            for fut in futures:
-                ratios.extend(fut.result())
+            ratios = np.concatenate([fut.result() for fut in futures])
     return TrialBatch(
         spec=spec,
         master_seed=master_seed,
         trials=trials,
         epsilon=epsilon,
-        ratios=np.array(ratios),
+        ratios=ratios,
     )
 
 

@@ -4,10 +4,13 @@ termwise product Y, plus exhaustive enumeration of the constraint class.
 Reproducibility contract: every trial's generator is
 ``PCG64(SeedSequence(master_seed, spawn_key=(trial_index,)))``, a pure
 function of the (master_seed, trial_index) pair. Within a trial the draw
-order is fixed: row supports for rows 0..n-1 first (partial Fisher-Yates,
-one ``integers`` call per swap), then the weight matrix W as a single
-(n, n) block. Reproducibility is across runs on the same build; changing
-generator or draw order is a breaking change.
+order is fixed: row supports for rows 0..n-1 first (partial Fisher-Yates),
+then the weight matrix W as a single (n, n) block. The Fisher-Yates picks
+of all rows come from one ``integers(lows, n)`` call, ``lows`` being
+0..r_i-1 for each row in turn; numpy draws such an array element by
+element, so the stream is the one of a separate ``integers(i, n)`` call per
+swap. Reproducibility is across runs on the same build; changing generator
+or draw order is a breaking change.
 """
 
 from __future__ import annotations
@@ -57,12 +60,44 @@ def trial_rng(seed: TrialSeed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _swap_mask(r) -> np.ndarray:
+    """mask[i, k] is set when row i makes Fisher-Yates swap k, i.e. k < r_i."""
+    r = np.asarray(r)
+    return np.arange(r.max()) < r[:, None]
+
+
+def _supports(picks: np.ndarray, r, n: int) -> np.ndarray:
+    """0-1 stack of shape (B, len(r), n) from the picks of B trials.
+
+    ``picks[t]`` holds, row after row, the positions drawn for swaps
+    0..r_i-1 of row i. Row i starts as 0..n-1; swap k exchanges positions k
+    and its pick, and the first r_i entries are then a uniform r_i-subset.
+    Each swap step runs across all trials and rows at once, on flat indices;
+    a row past its last swap exchanges position k with itself.
+    """
+    mask = _swap_mask(r)
+    rows, steps = mask.shape
+    starts = np.arange(0, picks.shape[0] * rows * n, n).reshape(-1, rows)
+    # flat index of swap k's partner: the row's pick, or k itself past r_i
+    there = starts[:, :, None] + np.arange(steps)
+    there[:, mask] += picks - np.nonzero(mask)[1]
+    perm = np.arange(starts.size * n) % n
+    for k in range(steps):
+        here, dest = starts + k, there[:, :, k]
+        perm[here], perm[dest] = perm[dest], perm[here]
+    x = np.zeros(starts.size * n)
+    x[(starts[:, :, None] + perm.reshape(*starts.shape, n)[:, :, :steps])[:, mask]] = 1.0
+    return x.reshape(*starts.shape, n)
+
+
 def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform r-subset of columns 0..n-1.
 
     Partial Fisher-Yates: swap a uniform pick from position i..n-1 into
     position i, for i < r; the first r entries are then a uniform subset.
-    Returned sorted.
+    Returned sorted. This is the contract's row-at-a-time form, one
+    ``integers`` call per swap; trial sampling draws the same picks with one
+    call per trial and makes the same swaps on a stack.
     """
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
@@ -73,17 +108,21 @@ def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, .
     return tuple(sorted(arr[:r]))
 
 
-def _sample_standard_realization(
-    spec: ModelSpec, seed: TrialSeed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (X, W): the 0-1 support matrix and the unit-scale weight matrix."""
-    rng = trial_rng(seed)
+def _sample_standard_realizations(spec: ModelSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the (X, W) stacks, each of shape (len(seeds), n, n): the 0-1
+    support matrices and unit-scale weight matrices of the given trials.
+
+    Each trial's generator draws its picks in one call, then its W.
+    """
     n = spec.n
-    x = np.zeros((n, n))
-    for i in range(n):
-        x[i, list(sample_row_support(n, spec.r[i], rng))] = 1.0
-    w = spec.dist.sample_standard(rng, (n, n))
-    return x, w
+    lows = np.nonzero(_swap_mask(spec.r))[1]
+    picks = np.empty((len(seeds), lows.size), dtype=np.int64)
+    w = np.empty((len(seeds), n, n))
+    for t, seed in enumerate(seeds):
+        rng = trial_rng(seed)
+        picks[t] = rng.integers(lows, n)
+        w[t] = spec.dist.sample_standard(rng, (n, n))
+    return _supports(picks, spec.r, n), w
 
 
 def sample_constrained_matrix(
@@ -91,7 +130,7 @@ def sample_constrained_matrix(
 ) -> tuple[DenseMatrix, DenseMatrix]:
     """One realization (X, Y): row i of X has exactly r_i ones, Z is i.i.d.
     from the entry law, and Y = X * Z termwise. Deterministic given seed."""
-    x, w = _sample_standard_realization(spec, seed)
+    (x,), (w,) = _sample_standard_realizations(spec, [seed])
     y = x * (spec.dist.scale * w)
     return DenseMatrix(x), DenseMatrix(y)
 

@@ -67,33 +67,43 @@ def _low_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _glynn_pass(a: np.ndarray) -> tuple[float, float]:
-    """Glynn's formula in one double-precision pass.
+def _stack_size(n: int) -> int:
+    """Matrices per Glynn pass: the most whose low tables together hold no
+    more entries than one n = _BLOCK_BITS table, and at least one."""
+    b = min(n, _BLOCK_BITS)
+    return max(1, (_BLOCK_BITS << (_BLOCK_BITS - 1)) // (n << (b - 1)))
+
+
+def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Glynn's formula in one double-precision pass over a (B, n, n) stack.
 
     per(A) = 2^-(n-1) sum over d in {+1,-1}^n, d_0 = +1, of
     prod_k d_k prod_i sum_j d_j a_ij. The low block's signed row sums are one
-    table; each high pattern adds its base row sums a[:, hi] @ signs to it.
+    table per matrix; each high pattern adds its base row sums
+    a[:, hi] @ signs to it. The signed sum over the table is one dot per
+    matrix, so a matrix's value does not depend on its stack.
 
-    Returns (value, err). For nonnegative ``a`` no term exceeds
-    P = prod_i rowsum_i, so the rounding error is below
+    Returns (values, errs), one entry per matrix. For nonnegative ``a`` no
+    term exceeds P = prod_i rowsum_i, so the rounding error is below
     err = 2u (n^2 + 2n + 2^(b-1) + 2^(n-b)) P, u the unit roundoff: each term
     carries about (n^2 + 2n) u P, and the sums over 2^(b-1) low and 2^(n-b)
     high patterns add the rest after the 2^-(n-1) scaling.
     """
-    n = a.shape[0]
+    n = a.shape[1]
     b = min(n, _BLOCK_BITS)
     signs, sign_low = _low_signs(b)
-    low_t = a[:, :b] @ signs.T
-    a_hi = a[:, b:]
+    low_t = a[:, :, :b] @ signs.T
+    a_hi = a[:, :, b:]
     shifts = np.arange(n - b)
-    total = 0.0
+    totals = [0.0] * len(a)
     for h in range(1 << (n - b)):
         base = a_hi @ (1 - 2 * ((h >> shifts) & 1))
-        s = float(sign_low @ np.prod(low_t + base[:, None], axis=0))
-        total += -s if h.bit_count() & 1 else s
-    rowprod = float(np.prod(a.sum(axis=1)))
-    err = (n * n + 2 * n + len(sign_low) + (1 << (n - b))) * _EPS * rowprod
-    return math.ldexp(total, 1 - n), err
+        for k, prod in enumerate(np.prod(low_t + base[:, :, None], axis=1)):
+            s = float(sign_low @ prod)
+            totals[k] += -s if h.bit_count() & 1 else s
+    rowprods = np.prod(a.sum(axis=2), axis=1)
+    errs = (n * n + 2 * n + len(sign_low) + (1 << (n - b))) * _EPS * rowprods
+    return np.ldexp(totals, 1 - n), errs
 
 
 def _has_perfect_matching(a: np.ndarray) -> bool:
@@ -113,20 +123,27 @@ def _has_perfect_matching(a: np.ndarray) -> bool:
     return all(augment(i, set()) for i in range(len(adj)))
 
 
-def _glynn_value(a: np.ndarray) -> ScaledValue:
-    """Permanent of a nonnegative float array via one Glynn pass.
+def _glynn_logs(a: np.ndarray) -> list[float]:
+    """log per(A) for each matrix of a nonnegative (B, n, n) stack, via one
+    Glynn pass; -inf marks an exact zero. Guarded at n <= RYSER_MAX_N.
 
     A value within the pass's rounding bound is decided on the support:
     exactly zero when it has no perfect matching, and a PrecisionError when
     it has one but the value is not positive. No result is clamped.
     """
-    value, err = _glynn_pass(a)
-    if value <= err and not _has_perfect_matching(a):
-        return ScaledValue.zero()
-    if value <= 0:
-        raise PrecisionError(f"permanent {value!r} is within its rounding bound "
-                             f"{err:.3g} but the support has a perfect matching")
-    return ScaledValue.from_float(value)
+    if a.shape[1] > RYSER_MAX_N:
+        raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {a.shape[1]}")
+    values, errs = _glynn_pass(a)
+    logs = []
+    for k, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
+        if value <= err and not _has_perfect_matching(a[k]):
+            logs.append(-math.inf)
+        elif value <= 0:
+            raise PrecisionError(f"permanent {value!r} is within its rounding bound "
+                                 f"{err:.3g} but the support has a perfect matching")
+        else:
+            logs.append(math.log(value))
+    return logs
 
 
 def per_ryser(m: DenseMatrix) -> ScaledValue:
@@ -155,8 +172,7 @@ def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
         raise ValueError(f"need {n} row scales, got shape {scales.shape}")
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
         raise ValueError("row scales must be finite and positive")
-    if n > RYSER_MAX_N:
-        raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {n}")
-    v = _glynn_value(m.entries / scales[:, None])
-    log_restore = math.fsum(math.log(s) for s in scales)
-    return v.scaled_by_log(log_restore)
+    (log_v,) = _glynn_logs((m.entries / scales[:, None])[None])
+    if log_v == -math.inf:
+        return ScaledValue.zero()
+    return ScaledValue.from_log(log_v + math.fsum(math.log(s) for s in scales))

@@ -61,12 +61,26 @@ class TestPer:
         assert capsys.readouterr().out == "per = 0  log_per = -inf\n"
 
     def test_unresolved_permanent_exit_1(self, tmp_path, capsys):
-        # 20! * 1e-400 underflows the double pass; it is not reported as 0
-        p = tmp_path / "tiny.txt"
-        p.write_text("\n".join(" ".join("1e-20" for _ in range(20)) for _ in range(20)) + "\n")
+        # per = 1 (triangular), but 1 + 2^60 rounds to 2^60: the two Glynn
+        # terms cancel to 0, inside the rounding bound, and the diagonal is
+        # a perfect matching, so the value is not reported as 0
+        p = tmp_path / "cancel.txt"
+        p.write_text(f"1 {2**60}\n0 1\n")
         assert main(["per", "--input", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "rounding bound" in captured.err
+
+    @pytest.mark.parametrize("entry,n,decimal", [("1e-20", 20, "0"), ("1e200", 2, "inf")])
+    def test_permanent_beyond_double_range_prints_log(self, tmp_path, capsys, entry, n, decimal):
+        # n! * entry^n leaves the double range (20! * 1e-400, 2 * 1e400);
+        # rows scaled by their sums carry it, so log_per is finite and exact
+        p = tmp_path / "m.txt"
+        p.write_text("\n".join(" ".join(entry for _ in range(n)) for _ in range(n)) + "\n")
+        assert main(["per", "--input", str(p)]) == 0
+        per, log_per = capsys.readouterr().out.split("  ")
+        assert per == f"per = {decimal}"
+        want = math.lgamma(n + 1) + n * math.log(float(entry))
+        assert abs(float(log_per.removeprefix("log_per = ")) - want) < 1e-12 * abs(want)
 
 
 class TestUsage:

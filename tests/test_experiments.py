@@ -24,6 +24,7 @@ from permlab.experiments import (
 )
 from permlab.model import TrialSeed, sample_constrained_matrix
 from permlab.moments import moment_report
+from permlab.permanent import _stack_size
 
 CONST1 = DistributionSpec.constant(1)
 SPEC3 = ModelSpec(3, (2, 2, 2), CONST1)
@@ -195,6 +196,39 @@ class TestWorkerCount:
         batch = estimate_moments(SPEC3, 5, 5, workers=64)
         assert _InlinePool.requested == [5]
         assert np.array_equal(batch.ratios, estimate_moments(SPEC3, 5, 5, workers=1).ratios)
+
+
+BATCH_LAWS = (
+    DistributionSpec.constant(2.0),
+    DistributionSpec.uniform(0.5, 2.0),
+    DistributionSpec.exponential(1.5),
+    DistributionSpec.lognormal(0.3, 0.8),
+)
+
+
+class TestBatchEqualsSingle:
+    """A batch's ratios are run_trial's, bit for bit, whatever the stack
+    and span boundaries."""
+
+    @pytest.mark.parametrize("dist", BATCH_LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 13])
+    def test_ratios_equal_run_trial(self, n, dist, monkeypatch):
+        # rows with r_i = 1 and r_i = n, the rest mixed
+        r = tuple([1, n] + [1 + (3 * i) % n for i in range(n - 2)])[:n]
+        spec = ModelSpec(n, r, dist)
+        stack = _stack_size(n)
+        # cross a stack boundary where a stack is small enough to fill
+        trials = max(stack + 3, 20) if stack <= 2048 else 200
+        single = [run_trial(spec, TrialSeed(21, i)) for i in range(trials)]
+        assert np.array_equal(estimate_moments(spec, trials, 21, workers=1).ratios, single)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+        assert np.array_equal(estimate_moments(spec, trials, 21, workers=3).ratios, single)
+
+    def test_stack_sizes(self):
+        # the stacked low tables hold at most one n = 12 table
+        assert [_stack_size(n) for n in (1, 3, 6, 8, 11, 12, 13, 20)] == [
+            24576, 2048, 128, 24, 2, 1, 1, 1]
 
 
 class TestParallelism:

@@ -102,6 +102,44 @@ class TestRowSupport:
         assert stat < chi2.ppf(0.999, n - 1)
 
 
+class TestSupportStream:
+    """The reproducibility contract: one ``integers(lows, n)`` call per trial
+    draws exactly the per-swap ``integers(i, n)`` stream."""
+
+    @staticmethod
+    def _assert_same_stream(n, r, seed):
+        one, loop = (np.random.Generator(np.random.PCG64([seed, n, r])) for _ in range(2))
+        picks = one.integers(np.arange(r), n)
+        assert picks.tolist() == [int(loop.integers(i, n)) for i in range(r)]
+        assert one.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_array_call_equals_per_swap_calls(self, seed):
+        for n in range(1, 41):
+            for r in range(1, n + 1):
+                self._assert_same_stream(n, r, seed)
+
+    def test_array_call_beyond_32_bit_range(self):
+        self._assert_same_stream(2**33, 6, 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+    def test_trial_supports_equal_row_by_row_sampling(self, n):
+        # X, then W, equal what sample_row_support row after row and one
+        # sample_standard call draw from the same trial generator
+        r = tuple([1, n] + [1 + (5 * i) % n for i in range(n - 2)])[:n]
+        for dist in (CONST1, DistributionSpec.exponential(2.0)):
+            spec = ModelSpec(n, r, dist)
+            for idx in range(40):
+                rng = trial_rng(TrialSeed(8, idx))
+                want = np.zeros((n, n))
+                for i, ri in enumerate(r):
+                    want[i, list(sample_row_support(n, ri, rng))] = 1.0
+                w = dist.sample_standard(rng, (n, n))
+                x, y = sample_constrained_matrix(spec, TrialSeed(8, idx))
+                assert np.array_equal(x.entries, want)
+                assert np.array_equal(y.entries, want * (dist.scale * w))
+
+
 class TestSampling:
     def test_forced_support(self):
         spec = ModelSpec(2, (2, 2), CONST1)
