@@ -14,6 +14,7 @@ every run can be reproduced.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,19 @@ __all__ = ["main", "build_parser"]
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _fmt_from_log(log_mag: float) -> str:
+    """The decimal of exp(log_mag) as mantissa and power of ten, to the
+    significant digits its log supports: an absolute error in the log is
+    that relative error in the value, and a computed log carries a few
+    ulps (its own rounding, the kernel's and the row scales' logs)."""
+    digits = int(-math.log10(4 * math.ulp(log_mag)))
+    x = log_mag / math.log(10)
+    exp10 = math.floor(x)
+    # rounding may carry the mantissa to 10, which the e-format absorbs
+    mant, _, carry = f"{10 ** (x - exp10):.{digits - 1}e}".partition("e")
+    return f"{mant.rstrip('0').rstrip('.')}e{exp10 + int(carry):+03d}"
 
 
 def _parse_r_spec(text: str, n: int) -> tuple[int, ...]:
@@ -125,21 +139,27 @@ def cmd_per(args: argparse.Namespace) -> int:
     _echo_config(args)
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
-    rowsums = m.entries.sum(axis=1)
+    with np.errstate(over="ignore"):
+        # a row sum past the double range is inf, which selects the scaled pass
+        rowsums = m.entries.sum(axis=1)
     if args.algorithm == "naive":
         value = per_naive(m)
     elif rowsums.min() == 0 or abs(np.log2(rowsums).sum()) <= 900:
         value = per_ryser(m)
     else:
         # prod rowsum is outside [2^-900, 2^900], where the unscaled pass
-        # underflows or overflows; rows scaled by their sums keep the
-        # magnitude in log space
-        value = per_scaled(m, rowsums)
+        # underflows or overflows; rows scaled by their largest entry, which
+        # stays finite where a row sum overflows, keep the magnitude in logs
+        value = per_scaled(m, m.entries.max(axis=1))
     if value.is_zero:
         print("per = 0  log_per = -inf")
-    else:
-        # log_per is the log magnitude; the decimal carries the sign
-        print(f"per = {_fmt(value.to_float())}  log_per = {_fmt(value.log_mag)}")
+        return 0
+    decimal = value.to_float()
+    # a value past the normal double range would print as 0, inf or a
+    # subnormal's few true digits, so its decimal comes from the log
+    in_range = sys.float_info.min <= decimal < math.inf
+    text = _fmt(decimal) if in_range else _fmt_from_log(value.log_mag)
+    print(f"per = {text}  log_per = {_fmt(value.log_mag)}")
     return 0
 
 

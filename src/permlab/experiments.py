@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .core import DistributionSpec, ModelSpec
-from .model import TrialSeed, _sample_standard_realizations
+from .model import TrialSeed, _sample_standard_realizations, _span_rngs, trial_rng
 from .moments import moment_report
 from .permanent import _glynn_logs, _stack_size
 
@@ -59,14 +59,15 @@ def jackknife_se_of_variance(values: np.ndarray) -> float:
     return math.sqrt((m - 1) / m * float(centered @ centered))
 
 
-def _trial_ratios(spec: ModelSpec, seeds) -> np.ndarray:
-    """T/mu for each trial in ``seeds``, sampled and evaluated as one stack.
+def _trial_ratios(spec: ModelSpec, rngs, count: int) -> np.ndarray:
+    """T/mu for the next ``count`` trials whose generators ``rngs`` yields,
+    sampled and evaluated as one stack.
 
     Row i of X*W is divided by r_i * E[W] before the Glynn pass, and the
     permanent is divided by the expected permanent in log space; log mu0
     carries the same row scales, so they cancel up to rounding.
     """
-    x, w = _sample_standard_realizations(spec, seeds)
+    x, w = _sample_standard_realizations(spec, rngs, count)
     n = spec.n
     scales = np.array(spec.r) * spec.dist.standard_mean
     log_scales = math.fsum(math.log(s) for s in scales)
@@ -88,16 +89,16 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     exactly 0.0 when, and only when, the support has no perfect matching.
     A one-trial stack of the batch path, so bit-identical to it.
     """
-    return float(_trial_ratios(spec, [seed])[0])
+    return float(_trial_ratios(spec, [trial_rng(seed)], 1)[0])
 
 
 def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """Ratios of trials start..stop-1, in stacks of ``_stack_size(n)``."""
+    """Ratios of trials start..stop-1, in stacks of ``_stack_size(n)``; the
+    span's generator states are derived once, for all its stacks."""
+    rngs = _span_rngs(master_seed, start, stop)
     step = _stack_size(spec.n)
-    return np.concatenate([
-        _trial_ratios(spec, [TrialSeed(master_seed, i) for i in range(a, min(a + step, stop))])
-        for a in range(start, stop, step)
-    ])
+    return np.concatenate([_trial_ratios(spec, rngs, min(step, stop - a))
+                           for a in range(start, stop, step)])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ of all rows come from one ``integers(lows, n)`` call, ``lows`` being
 element, so the stream is the one of a separate ``integers(i, n)`` call per
 swap. Reproducibility is across runs on the same build; changing generator
 or draw order is a breaking change.
+
+``trial_rng`` builds that generator for one trial. A span of trials instead
+computes every trial's PCG64 (state, inc) at once from SeedSequence's
+published hash and PCG's seeding, and sets them in turn on one reused
+generator; the states are ``trial_rng``'s, so the streams are too.
 """
 
 from __future__ import annotations
@@ -58,6 +63,115 @@ def trial_rng(seed: TrialSeed) -> np.random.Generator:
     """The documented per-trial generator, a pure function of the seed pair."""
     ss = np.random.SeedSequence(seed.master_seed, spawn_key=(seed.trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# SeedSequence's hash constants (O'Neill's seed_seq design, as numpy
+# implements it; NEP 19 keeps SeedSequence stream-stable) and its pool size.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# PCG's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _words32(v: int) -> list[int]:
+    """v as little-endian 32-bit words, at least one: SeedSequence's
+    coercion of an integer entropy word."""
+    words = [v & _M32]
+    while v := v >> 32:
+        words.append(v & _M32)
+    return words
+
+
+def _hashed_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence's entropy mix and ``generate_state(4, uint64)``, run
+    elementwise on uint32 arrays, one array per entropy word position.
+
+    The hash constants depend only on the word count, so every element
+    takes the same steps. Returns the four state words per element as an
+    (elements, 4) uint64 array.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _M32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ out >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # eight uint32 words from the cycled pool, paired little-endian
+    const = _INIT_B
+    out = []
+    for k in range(8):
+        value = pool[k % _POOL] ^ const
+        const = const * _MULT_B & _M32
+        value = value * const
+        out.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
+
+
+def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64)``
+    for i in start..stop-1, as a (stop - start, 4) uint64 array.
+
+    A spawn key pads the master's words to the pool size; the index's words
+    follow. An index has one word below 2^32, and its words above the low
+    64 bits only change at multiples of 2^64, so the span is hashed in
+    pieces cut there, each piece one vectorized pass.
+    """
+    run = _words32(master_seed)
+    run += [0] * (_POOL - len(run))
+    parts = []
+    a = start
+    while a < stop:
+        b = min(stop, 2**32 if a < 2**32 else ((a >> 64) + 1) << 64)
+        low = np.uint64(a & _M64) + np.arange(b - a, dtype=np.uint64)
+        index = [low & _M32] if a < 2**32 else [low & _M32, low >> 32]
+        high = _words32(a >> 64) if a >> 64 else []
+        fixed = [np.full(b - a, w, dtype=np.uint32) for w in run + high]
+        entropy = fixed[:_POOL] + [w.astype(np.uint32) for w in index] + fixed[_POOL:]
+        parts.append(_hashed_state(entropy))
+        a = b
+    return np.concatenate(parts)
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """PCG64's state for four ``generate_state`` words: PCG's srandom, which
+    sets inc = 2 * seq + 1, steps from 0, adds the seed and steps again."""
+    seed, seq = words[0] << 64 | words[1], words[2] << 64 | words[3]
+    inc = (seq << 1 | 1) & _M128
+    state = ((inc + seed) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _span_rngs(master_seed: int, start: int, stop: int):
+    """The generators of trials start..stop-1 in turn, each in the state
+    ``trial_rng`` gives it.
+
+    One generator is reused: each step sets the next trial's state on it
+    and yields it again, so a yielded generator is only valid until the
+    next step.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for words in _seed_words(master_seed, start, stop):
+        rng.bit_generator.state = _pcg64_state(words.tolist())
+        yield rng
 
 
 def _swap_mask(r) -> np.ndarray:
@@ -108,18 +222,21 @@ def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, .
     return tuple(sorted(arr[:r]))
 
 
-def _sample_standard_realizations(spec: ModelSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the (X, W) stacks, each of shape (len(seeds), n, n): the 0-1
-    support matrices and unit-scale weight matrices of the given trials.
+def _sample_standard_realizations(
+    spec: ModelSpec, rngs, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the (X, W) stacks, each of shape (count, n, n): the 0-1 support
+    matrices and unit-scale weight matrices of the next ``count`` trials
+    whose generators ``rngs`` yields.
 
     Each trial's generator draws its picks in one call, then its W.
     """
     n = spec.n
     lows = np.nonzero(_swap_mask(spec.r))[1]
-    picks = np.empty((len(seeds), lows.size), dtype=np.int64)
-    w = np.empty((len(seeds), n, n))
-    for t, seed in enumerate(seeds):
-        rng = trial_rng(seed)
+    picks = np.empty((count, lows.size), dtype=np.int64)
+    w = np.empty((count, n, n))
+    # range first: zip stops on it without taking a generator past count
+    for t, rng in zip(range(count), rngs):
         picks[t] = rng.integers(lows, n)
         w[t] = spec.dist.sample_standard(rng, (n, n))
     return _supports(picks, spec.r, n), w
@@ -130,7 +247,7 @@ def sample_constrained_matrix(
 ) -> tuple[DenseMatrix, DenseMatrix]:
     """One realization (X, Y): row i of X has exactly r_i ones, Z is i.i.d.
     from the entry law, and Y = X * Z termwise. Deterministic given seed."""
-    (x,), (w,) = _sample_standard_realizations(spec, [seed])
+    (x,), (w,) = _sample_standard_realizations(spec, [trial_rng(seed)], 1)
     y = x * (spec.dist.scale * w)
     return DenseMatrix(x), DenseMatrix(y)
 

@@ -70,10 +70,13 @@ class TestPer:
         captured = capsys.readouterr()
         assert captured.out == "" and "rounding bound" in captured.err
 
-    @pytest.mark.parametrize("entry,n,decimal", [("1e-20", 20, "0"), ("1e200", 2, "inf")])
+    @pytest.mark.parametrize("entry,n,decimal", [
+        ("1e-20", 20, "2.43290200818e-382"), ("1e200", 2, "2e+400"), ("1e308", 2, "2e+616")])
     def test_permanent_beyond_double_range_prints_log(self, tmp_path, capsys, entry, n, decimal):
-        # n! * entry^n leaves the double range (20! * 1e-400, 2 * 1e400);
-        # rows scaled by their sums carry it, so log_per is finite and exact
+        # n! * entry^n leaves the double range (20! * 1e-400, 2 * 1e400,
+        # 2 * 1e616; the last one's row sums overflow too); rows scaled by
+        # their largest entry carry it, so log_per is finite and exact, and
+        # the decimal is read from it to the 12 digits it supports
         p = tmp_path / "m.txt"
         p.write_text("\n".join(" ".join(entry for _ in range(n)) for _ in range(n)) + "\n")
         assert main(["per", "--input", str(p)]) == 0

@@ -343,3 +343,26 @@ class TestSweepAndCsv:
         assert np.array_equal(b1.ratios, b2.ratios)
         se = max(b1.se_mean, 1e-12)
         assert abs(b1.mean_ratio - b2.mean_ratio) < 3 * math.sqrt(2) * se
+
+
+class TestChebyshevBound:
+    """The paper's second-moment bound, P(|T/mu - 1| > eps) <= (E T^2/mu^2 - 1)
+    / eps^2, holds for every Monte Carlo row up to three standard errors of
+    its p_dev. Each epsilon keeps the bound below 1 on every row, so the
+    check is not vacuous; a row with an exact ratio of 1 must never deviate."""
+
+    @pytest.mark.parametrize("r_rule,dist,ns,epsilon", [
+        ("const:3", CONST1, (3, 4, 5, 6), 0.5),
+        ("sqrt-log", CONST1, (4, 5, 6, 7, 8), 0.25),
+        ("sqrt-log", DistributionSpec.uniform(0.5, 2.0), (4, 6, 8), 0.75),
+        ("power:0.9", DistributionSpec.lognormal(0.0, 0.5), (4, 6), 0.75),
+        ("fixed:2,4,3,5,1", DistributionSpec.uniform(1.0, 3.0), (5,), 0.75),
+    ])
+    def test_p_dev_below_second_moment_bound(self, r_rule, dist, ns, epsilon):
+        plan = SweepPlan(ns=ns, r_rule=r_rule, dist=dist, trials=1000, master_seed=41,
+                         epsilon=epsilon)
+        for row in concentration_sweep(plan):
+            bound = (row.exact_ratio - 1) / epsilon**2
+            assert bound < 1, row
+            slack = 3 * math.sqrt(row.p_dev * (1 - row.p_dev) / row.trials)
+            assert row.p_dev <= bound + slack, row

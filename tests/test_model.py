@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from permlab.core import DistributionSpec, ModelSpec, SizeLimitError
 from permlab.model import (
     TrialSeed,
+    _span_rngs,
     constraint_class_size,
     enumerate_constraint_matrices,
     sample_constrained_matrix,
@@ -35,6 +36,40 @@ class TestTrialSeed:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+
+class TestSpanStates:
+    """A span's generators, derived at once from SeedSequence's hash, are in
+    ``trial_rng``'s states. Index words change count at 2^32 and 2^64 (and
+    the low words wrap at every multiple of 2^64), so spans straddle those."""
+
+    MASTERS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+    SPANS = ((0, 41), (2**32 - 1, 2**32 + 1), (2**33 + 7, 2**33 + 8),
+             (2**64 - 1, 2**64 + 1), (2**65 - 1, 2**65 + 1), (2**96 - 1, 2**96 + 1))
+    LAWS = (CONST1, DistributionSpec.uniform(0.5, 2.0), DistributionSpec.exponential(2.0),
+            DistributionSpec.lognormal(0.3, 0.8))
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_states_equal_trial_rng(self, master):
+        for start, stop in self.SPANS:
+            got = [rng.bit_generator.state for rng in _span_rngs(master, start, stop)]
+            want = [trial_rng(TrialSeed(master, i)).bit_generator.state for i in range(start, stop)]
+            assert got == want, (start, stop)
+
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_draws_equal_trial_rng(self, dist):
+        # the picks, W, and the state they leave, trial by trial
+        n, r = 5, (1, 5, 2, 3, 4)
+        lows = np.concatenate([np.arange(ri) for ri in r])
+        for master in (7, 2**64 - 1):
+            for start, stop in ((0, 30), (2**64 - 2, 2**64 + 2)):
+                rngs = _span_rngs(master, start, stop)
+                for i, rng in zip(range(start, stop), rngs):
+                    ref = trial_rng(TrialSeed(master, i))
+                    assert np.array_equal(rng.integers(lows, n), ref.integers(lows, n))
+                    assert np.array_equal(dist.sample_standard(rng, (n, n)),
+                                          dist.sample_standard(ref, (n, n)))
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRowSupport:
