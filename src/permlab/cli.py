@@ -142,6 +142,7 @@ def cmd_per(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore"):
         # a row sum past the double range is inf, which selects the scaled pass
         rowsums = m.entries.sum(axis=1)
+    scaled = False
     if args.algorithm == "naive":
         value = per_naive(m)
     elif rowsums.min() == 0 or abs(np.log2(rowsums).sum()) <= 900:
@@ -150,15 +151,16 @@ def cmd_per(args: argparse.Namespace) -> int:
         # prod rowsum is outside [2^-900, 2^900], where the unscaled pass
         # underflows or overflows; rows scaled by their largest entry, which
         # stays finite where a row sum overflows, keep the magnitude in logs
-        value = per_scaled(m, m.entries.max(axis=1))
+        value, scaled = per_scaled(m, m.entries.max(axis=1)), True
     if value.is_zero:
         print("per = 0  log_per = -inf")
         return 0
     decimal = value.to_float()
-    # a value past the normal double range would print as 0, inf or a
-    # subnormal's few true digits, so its decimal comes from the log
+    # the scaled pass's decimal is exp(log_per), whose last digits are the
+    # log's rounding, and a value past the normal double range would print
+    # as 0, inf or a subnormal's few true digits: these come from the log
     in_range = sys.float_info.min <= decimal < math.inf
-    text = _fmt(decimal) if in_range else _fmt_from_log(value.log_mag)
+    text = _fmt(decimal) if in_range and not scaled else _fmt_from_log(value.log_mag)
     print(f"per = {text}  log_per = {_fmt(value.log_mag)}")
     return 0
 

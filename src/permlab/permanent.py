@@ -8,6 +8,13 @@ matrices the relative error is about 3e-14 at n = 20 and 2e-13 at n = 24. A
 result inside the pass's rounding bound is settled on the support: exactly
 zero without a perfect matching, an error with one. Both kernels are
 deterministic: repeated calls on the same matrix are bit-identical.
+
+The Glynn pass handles its high sign patterns in chunks. A chunk's table of
+low row sums plus base sums is one stacked product [1, base] @ [low; 1],
+exact in both products, so every entry is the single rounding of
+low + base; the base sums and the final signed dot stay one product per
+pattern, in pattern order, because stacking either changes the last bits.
+The pass therefore equals the one-pattern-at-a-time loop bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -26,9 +34,16 @@ NAIVE_MAX_N = 10
 RYSER_MAX_N = 30
 
 # Sign patterns split into a low block over columns 0..b-1, evaluated at once
-# as a table of signed row sums, and the high columns, one pattern per step;
-# 2^11 table columns stay in L2 while amortizing numpy call overhead.
+# as a table of signed row sums, and the high columns, taken in chunks of H
+# patterns (a power of two) that share one (n, H, 2^(b-1)) table of at most
+# _CHUNK_ENTRIES doubles. That 1 MB and the table's rows stay in L2 while
+# each numpy call covers H patterns: H = 4 at n = 13-16 and 2 above, which
+# timed best at n = 16-22 (H = 1 and 8 were slower).
 _BLOCK_BITS = 12
+_CHUNK_ENTRIES = 1 << 17
+# high patterns whose sign rows and base row sums are formed together, so
+# that building the sign rows costs no numpy call per pattern
+_BASE_SPAN = 256
 
 _EPS = float(np.finfo(float).eps)  # twice the unit roundoff u
 _PERM_CHUNK = 65536
@@ -74,6 +89,49 @@ def _stack_size(n: int) -> int:
     return max(1, (_BLOCK_BITS << (_BLOCK_BITS - 1)) // (n << (b - 1)))
 
 
+def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
+    """For each chunk of high sign patterns of a (B, n, n) stack, in pattern
+    order, its first pattern h0 and the (B, H, 2^(b-1)) products over rows
+    of the low table plus each pattern's base row sums a[:, :, b:] @ signs.
+
+    A chunk's table is one stacked product [1, base_ih] @ [low_i; 1]: both
+    products in an entry are exact, so it is the one rounding of
+    low + base, the bits a broadcast add gives. The base sums stay one
+    product per pattern, since one product over a chunk's patterns changes
+    their last bits. No buffer grows with 2^(n-b): the table holds one
+    chunk and the base sums one span of at most _BASE_SPAN patterns.
+    """
+    signs = _low_signs(b)[0]
+    m, n, _ = a.shape
+    if n == b:
+        # one high pattern, whose zero base leaves the low table as it is
+        yield 0, np.prod(a @ signs.T, axis=1)[:, None]
+        return
+    # the largest power of two of patterns whose table fits _CHUNK_ENTRIES
+    fit = max(1, _CHUNK_ENTRIES // (n * len(signs)))
+    chunk = min(1 << (n - b), 1 << (fit.bit_length() - 1))
+    # one block holds the [low_i; 1] rows and the table: as two blocks of
+    # this size, malloc returned them to the system after every pass, which
+    # then faulted them in again (about 300 page faults a pass at n = 20)
+    work = np.empty((m, n, 2 + chunk, len(signs)))
+    rows, table = work[:, :, :2], work[:, :, 2:]
+    np.matmul(a[:, :, :b], signs.T, out=rows[:, :, 0])
+    rows[:, :, 1] = 1.0
+    coefs = np.ones((m, n, chunk, 2))
+    prods = np.empty((m, chunk, len(signs)))
+    a_hi = a[:, :, b:]
+    shifts = np.arange(n - b)
+    span = min(_BASE_SPAN, 1 << (n - b))
+    bases = np.empty((span, m, n))
+    for s0 in range(0, 1 << (n - b), span):
+        for j, d in enumerate(1.0 - 2 * ((np.arange(s0, s0 + span)[:, None] >> shifts) & 1)):
+            np.matmul(a_hi, d, out=bases[j])
+        for c0 in range(0, span, chunk):
+            coefs[:, :, :, 1] = bases[c0:c0 + chunk].transpose(1, 2, 0)
+            np.matmul(coefs, rows, out=table)
+            yield s0 + c0, np.multiply.reduce(table, axis=1, out=prods)
+
+
 def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Glynn's formula in one double-precision pass over a (B, n, n) stack.
 
@@ -81,7 +139,8 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prod_k d_k prod_i sum_j d_j a_ij. The low block's signed row sums are one
     table per matrix; each high pattern adds its base row sums
     a[:, hi] @ signs to it. The signed sum over the table is one dot per
-    matrix, so a matrix's value does not depend on its stack.
+    matrix and pattern, taken in pattern order, so a matrix's value depends
+    neither on its stack nor on the chunking.
 
     Returns (values, errs), one entry per matrix. For nonnegative ``a`` no
     term exceeds P = prod_i rowsum_i, so the rounding error is below
@@ -91,16 +150,14 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = a.shape[1]
     b = min(n, _BLOCK_BITS)
-    signs, sign_low = _low_signs(b)
-    low_t = a[:, :, :b] @ signs.T
-    a_hi = a[:, :, b:]
-    shifts = np.arange(n - b)
+    sign_low = _low_signs(b)[1]
     totals = [0.0] * len(a)
-    for h in range(1 << (n - b)):
-        base = a_hi @ (1 - 2 * ((h >> shifts) & 1))
-        for k, prod in enumerate(np.prod(low_t + base[:, :, None], axis=1)):
-            s = float(sign_low @ prod)
-            totals[k] += -s if h.bit_count() & 1 else s
+    for h0, prods in _chunk_products(a, b):
+        for j, pattern_prods in enumerate(prods.swapaxes(0, 1)):
+            odd = (h0 + j).bit_count() & 1
+            for k, prod in enumerate(pattern_prods):
+                s = float(sign_low.dot(prod))
+                totals[k] += -s if odd else s
     rowprods = np.prod(a.sum(axis=2), axis=1)
     errs = (n * n + 2 * n + len(sign_low) + (1 << (n - b))) * _EPS * rowprods
     return np.ldexp(totals, 1 - n), errs

@@ -85,6 +85,16 @@ class TestPer:
         want = math.lgamma(n + 1) + n * math.log(float(entry))
         assert abs(float(log_per.removeprefix("log_per = ")) - want) < 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("entry,n,decimal", [("1e-300", 1, "1e-300"), ("1e-100", 3, "6e-300")])
+    def test_scaled_pass_in_range_prints_log_digits(self, tmp_path, capsys, entry, n, decimal):
+        # prod rowsum is below 2^-900 but the permanent is a normal double;
+        # its decimal is exp(log_per), so it gets the digits the log
+        # supports (17 digits printed 1.0000000000000237e-300 for the first)
+        p = tmp_path / "m.txt"
+        p.write_text("\n".join(" ".join(entry for _ in range(n)) for _ in range(n)) + "\n")
+        assert main(["per", "--input", str(p)]) == 0
+        assert capsys.readouterr().out.split("  ")[0] == f"per = {decimal}"
+
 
 class TestUsage:
     def test_unknown_subcommand_exit_2(self):

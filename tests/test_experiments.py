@@ -211,7 +211,7 @@ class TestBatchEqualsSingle:
     and span boundaries."""
 
     @pytest.mark.parametrize("dist", BATCH_LAWS, ids=lambda d: d.kind)
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 13, 16])
     def test_ratios_equal_run_trial(self, n, dist, monkeypatch):
         # rows with r_i = 1 and r_i = n, the rest mixed
         r = tuple([1, n] + [1 + (3 * i) % n for i in range(n - 2)])[:n]

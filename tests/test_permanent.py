@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from glynn_reference import glynn_pass_reference
 from permlab.core import DenseMatrix, PrecisionError, SizeLimitError
-from permlab.permanent import per_naive, per_ryser, per_scaled
+from permlab.permanent import (
+    _BLOCK_BITS,
+    _glynn_pass,
+    _stack_size,
+    per_naive,
+    per_ryser,
+    per_scaled,
+)
 
 
 def random_matrix(rng, n, low=0.0, high=1.0):
@@ -141,3 +149,48 @@ class TestCrossAgreement:
                 a = per_naive(m).to_float()
                 b = per_ryser(m).to_float()
                 assert abs(a - b) <= 1e-10 * abs(a)
+
+
+def _support(rng, r):
+    """0-1 matrix whose row i has r[i] ones in random columns."""
+    x = np.zeros((len(r), len(r)))
+    for i, ri in enumerate(r):
+        x[i, rng.choice(len(r), size=ri, replace=False)] = 1.0
+    return x
+
+
+def _rescaled(x, rng):
+    """x with exp(1) weights on its support, each row divided by its sum."""
+    y = x * rng.exponential(1.0, x.shape)
+    return y / y.sum(axis=-1, keepdims=True)
+
+
+class TestChunkedPassMatchesReference:
+    """The chunked Glynn pass performs the per-pattern pass's roundings in
+    its order, so values and errs are equal bit for bit. n = 13..22 covers
+    chunks of 2 and 4 patterns, one to four spans of base sums, and a last
+    chunk that ends exactly at 2^(n-b)."""
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_bit_identical(self, n):
+        rng = np.random.default_rng(500 + n)
+        half = max(1, n // 2)
+        inputs = {
+            "exp half-full": _rescaled(_support(rng, [half] * n), rng),
+            "0-1 r=3": _support(rng, [min(3, n)] * n),
+            "0-1 r=n/2": _support(rng, [half] * n),
+            "rows with r_i=1": _rescaled(_support(rng, [1 + (i % 2) * (half - 1) for i in range(n)]), rng),
+        }
+        if n > _BLOCK_BITS:
+            hi_zero = _rescaled(_support(rng, [half] * n), rng)
+            hi_zero[:, _BLOCK_BITS:] = 0.0
+            inputs["high columns zero"] = hi_zero
+        stacks = {name: x[None] for name, x in inputs.items()}
+        if n <= _BLOCK_BITS:
+            full = [_support(rng, [half] * n) for _ in range(_stack_size(n))]
+            stacks["full stack"] = _rescaled(np.stack(full), rng)
+        for name, a in stacks.items():
+            values, errs = _glynn_pass(a)
+            want_values, want_errs = glynn_pass_reference(a)
+            assert np.array_equal(values, want_values), name
+            assert np.array_equal(errs, want_errs), name
