@@ -9,6 +9,7 @@ order, so output is identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .core import DistributionSpec, ModelSpec
-from .model import TrialSeed, _sample_standard_realizations, _span_rngs, trial_rng
+from .model import TrialSeed, _sample_standard_realizations, _span_states, _StackSampler, trial_rng
 from .moments import moment_report
 from .permanent import _glynn_logs, _stack_size
 
@@ -59,15 +60,14 @@ def jackknife_se_of_variance(values: np.ndarray) -> float:
     return math.sqrt((m - 1) / m * float(centered @ centered))
 
 
-def _trial_ratios(spec: ModelSpec, rngs, count: int) -> np.ndarray:
-    """T/mu for the next ``count`` trials whose generators ``rngs`` yields,
-    sampled and evaluated as one stack.
+def _trial_ratios(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """T/mu for a stack of trials, from their (X, W) stacks, evaluated in
+    one Glynn pass.
 
     Row i of X*W is divided by r_i * E[W] before the Glynn pass, and the
     permanent is divided by the expected permanent in log space; log mu0
     carries the same row scales, so they cancel up to rounding.
     """
-    x, w = _sample_standard_realizations(spec, rngs, count)
     n = spec.n
     scales = np.array(spec.r) * spec.dist.standard_mean
     log_scales = math.fsum(math.log(s) for s in scales)
@@ -87,18 +87,22 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     cancelled algebraically rather than numerically; ratios are therefore
     bit-identical across pure rescalings of the entry law. The ratio is
     exactly 0.0 when, and only when, the support has no perfect matching.
-    A one-trial stack of the batch path, so bit-identical to it.
+    A one-trial stack drawn by the reference calls; a batch reads the same
+    draws from raw words, so its ratios are bit-identical to these.
     """
-    return float(_trial_ratios(spec, [trial_rng(seed)], 1)[0])
+    x, w = _sample_standard_realizations(spec, [trial_rng(seed)], 1)
+    return float(_trial_ratios(spec, x, w)[0])
 
 
 def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
     """Ratios of trials start..stop-1, in stacks of ``_stack_size(n)``; the
-    span's generator states are derived once, for all its stacks."""
-    rngs = _span_rngs(master_seed, start, stop)
+    span's generator states and its sampler are made once, for all its
+    stacks."""
+    states = _span_states(master_seed, start, stop)
+    sample = _StackSampler(spec)
     step = _stack_size(spec.n)
-    return np.concatenate([_trial_ratios(spec, rngs, min(step, stop - a))
-                           for a in range(start, stop, step)])
+    return np.concatenate([_trial_ratios(spec, *sample(list(itertools.islice(states, step))))
+                           for _ in range(start, stop, step)])
 
 
 @dataclass(frozen=True)

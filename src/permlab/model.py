@@ -16,6 +16,12 @@ or draw order is a breaking change.
 computes every trial's PCG64 (state, inc) at once from SeedSequence's
 published hash and PCG's seeding, and sets them in turn on one reused
 generator; the states are ``trial_rng``'s, so the streams are too.
+
+The picks are still ``integers(lows, n)``'s stream. A stack of more than
+one trial reads them as raw 64-bit words, one ``random_raw`` call per
+trial, and applies numpy's 32-bit Lemire rule to the whole stack; a trial
+with a rejected draw is drawn again by the reference call. Tests pin this
+against numpy's own calls.
 """
 
 from __future__ import annotations
@@ -160,6 +166,13 @@ def _pcg64_state(words: list[int]) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
+def _span_states(master_seed: int, start: int, stop: int):
+    """The PCG64 state dicts ``trial_rng`` gives trials start..stop-1, in
+    turn."""
+    for words in _seed_words(master_seed, start, stop):
+        yield _pcg64_state(words.tolist())
+
+
 def _span_rngs(master_seed: int, start: int, stop: int):
     """The generators of trials start..stop-1 in turn, each in the state
     ``trial_rng`` gives it.
@@ -169,9 +182,50 @@ def _span_rngs(master_seed: int, start: int, stop: int):
     next step.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    for words in _seed_words(master_seed, start, stop):
-        rng.bit_generator.state = _pcg64_state(words.tolist())
+    for state in _span_states(master_seed, start, stop):
+        rng.bit_generator.state = state
         yield rng
+
+
+def _lemire_rule(ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constants for reading draws ``integers(low, low + s)``, one per range
+    s in ``ranges``, from a trial's raw PCG64 words by numpy's 32-bit
+    Lemire rule (``buffered_bounded_lemire_uint32``): each draw's position
+    in the trial's 32-bit stream, s as uint64, and the rejection threshold
+    (2^32 - s) mod s.
+
+    numpy draws nothing for a range of 1, so it takes no stream position;
+    it reads position 0 instead, and (u * 1) >> 32 = 0 is its offset for
+    any u, never rejected. A range of 2^32 or more takes numpy's other
+    branches; ranges from 2^32 - 1 up are refused, one short of them.
+    """
+    s = np.asarray(ranges, dtype=np.uint64)
+    if np.any(s < 1) or np.any(s >= _M32):
+        raise ValueError("the 32-bit Lemire rule covers ranges 1..2^32-2")
+    drawn = s > 1
+    return np.where(drawn, np.cumsum(drawn) - 1, 0), s, (2**32 - s) % s
+
+
+def _lemire_resolve(words: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
+                    thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets numpy's 32-bit Lemire rule draws from raw PCG64 words,
+    with ``_lemire_rule``'s constants.
+
+    Row t of ``words`` (uint64) is trial t's raw output. Its 32-bit stream
+    is the low, then the high half of each word, as PCG64's ``next_uint32``
+    hands them out. A draw reads the stream's value u at its position and
+    gives offset (u * s) >> 32; it is rejected when (u * s) mod 2^32 falls
+    below its threshold, where numpy would draw again.
+
+    Returns the (B, len(ranges)) int64 offsets and the indices of the rows
+    with a rejected draw, whose offsets are not numpy's.
+    """
+    u = words.astype("<u8", copy=False).view("<u4").take(cols, axis=1)
+    m = u * ranges
+    rejected = (m & _M32) < thresholds
+    # a draw is rejected with probability below s / 2^32, so rarely any
+    rows = np.flatnonzero(rejected.any(axis=1)) if np.count_nonzero(rejected) else []
+    return (m >> 32).astype(np.int64), rows
 
 
 def _swap_mask(r) -> np.ndarray:
@@ -229,7 +283,8 @@ def _sample_standard_realizations(
     matrices and unit-scale weight matrices of the next ``count`` trials
     whose generators ``rngs`` yields.
 
-    Each trial's generator draws its picks in one call, then its W.
+    Each trial's generator draws its picks in one call, then its W. This is
+    the reference form, which single trials use.
     """
     n = spec.n
     lows = np.nonzero(_swap_mask(spec.r))[1]
@@ -240,6 +295,49 @@ def _sample_standard_realizations(
         picks[t] = rng.integers(lows, n)
         w[t] = spec.dist.sample_standard(rng, (n, n))
     return _supports(picks, spec.r, n), w
+
+
+class _StackSampler:
+    """Draws the (X, W) stacks of trials given by their PCG64 state dicts,
+    on one reused generator, with the draws ``_sample_standard_realizations``
+    makes. Built once per span, so the spec's constants are too.
+
+    In a stack of more than one trial, each trial makes one ``random_raw``
+    call for its picks, then draws W as the reference does: W's draws take
+    whole words, so a half-word the picks leave buffered does not move
+    them. One ``_lemire_resolve`` over the stack then turns the words into
+    picks. A trial with a rejected draw is drawn again from its state by the
+    reference calls, and so is a stack of one, where the resolve's fixed
+    cost would exceed what it saves.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.rng = np.random.Generator(np.random.PCG64(0))
+        self.lows = np.nonzero(_swap_mask(spec.r))[1]
+        self.rule = _lemire_rule(spec.n - self.lows)
+        # 32-bit draws, two to a word; only n = 1 has none
+        self.words = (np.count_nonzero(self.rule[1] > 1) + 1) // 2
+
+    def __call__(self, states: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+        n, dist, rng = self.spec.n, self.spec.dist, self.rng
+        bits, count = rng.bit_generator, len(states)
+        picks = np.empty((count, self.lows.size), dtype=np.int64)
+        w = np.empty((count, n, n))
+        redraw = range(count)
+        if count > 1 and self.words:
+            raw = np.empty((count, self.words), dtype=np.uint64)
+            for t, state in enumerate(states):
+                bits.state = state
+                raw[t] = bits.random_raw(self.words)
+                w[t] = dist.sample_standard(rng, (n, n))
+            offsets, redraw = _lemire_resolve(raw, *self.rule)
+            picks = self.lows + offsets
+        for t in redraw:
+            bits.state = states[t]
+            picks[t] = rng.integers(self.lows, n)
+            w[t] = dist.sample_standard(rng, (n, n))
+        return _supports(picks, self.spec.r, n), w
 
 
 def sample_constrained_matrix(

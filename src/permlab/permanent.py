@@ -165,7 +165,7 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _has_perfect_matching(a: np.ndarray) -> bool:
     """Augmenting-path (Kuhn) search for a perfect matching on a's support."""
-    adj = [np.flatnonzero(row).tolist() for row in a]
+    adj = [[j for j, v in enumerate(row) if v] for row in a.tolist()]
     owner = [-1] * len(adj)  # column -> matched row
 
     def augment(i: int, seen: set[int]) -> bool:

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permlab import model
 from permlab.core import DistributionSpec, ModelSpec, SizeLimitError
 from permlab.model import (
+    _PCG_MULT,
     TrialSeed,
+    _lemire_resolve,
+    _lemire_rule,
+    _sample_standard_realizations,
     _span_rngs,
+    _span_states,
+    _StackSampler,
     constraint_class_size,
     enumerate_constraint_matrices,
     sample_constrained_matrix,
@@ -173,6 +180,89 @@ class TestSupportStream:
                 x, y = sample_constrained_matrix(spec, TrialSeed(8, idx))
                 assert np.array_equal(x.entries, want)
                 assert np.array_equal(y.entries, want * (dist.scale * w))
+
+
+class TestRawPicks:
+    """A stack reads its picks from raw PCG64 words and resolves them by
+    numpy's 32-bit Lemire rule; the picks and W must be those of the
+    reference ``integers(lows, n)`` and ``sample_standard`` calls."""
+
+    LAWS = TestSpanStates.LAWS
+
+    @staticmethod
+    def _picks_and_w(monkeypatch, spec, states):
+        # X is a function of the picks; compare the picks themselves
+        monkeypatch.setattr(model, "_supports", lambda picks, r, n: picks)
+        got = _StackSampler(spec)(states)
+        want = _sample_standard_realizations(spec, _in_states(states), len(states))
+        return got, want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stack_picks_equal_integers(self, seed, monkeypatch):
+        # n = 1 draws nothing, r = n leaves each row's last swap undrawn,
+        # and an odd number of draws leaves a half-word buffered before W
+        exp2 = DistributionSpec.exponential(2.0)
+        states = list(_span_states(seed, 0, 3))
+        for n in range(1, 41):
+            for r in range(1, n + 1):
+                spec = ModelSpec(n, (r,) * n, exp2)
+                (got_picks, got_w), (picks, w) = self._picks_and_w(monkeypatch, spec, states)
+                assert np.array_equal(got_picks, picks), (n, r)
+                assert np.array_equal(got_w, w), (n, r)
+
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_rejected_draw_is_redrawn(self, dist, monkeypatch):
+        # A PCG64 state one step before x * 2^64 + x outputs 0 (its halves
+        # cancel in XSL-RR), so the first 32-bit draw is u = 0, rejected for
+        # the range 6, which does not divide 2^32.
+        inc = next(_span_states(9, 0, 1))["state"]["inc"]
+        x = 0x0123456789ABCDEF
+        crafted = (x << 64 | x) - inc
+        crafted = crafted * pow(_PCG_MULT, -1, 2**128) % 2**128
+        state = {"bit_generator": "PCG64", "state": {"state": crafted, "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+        spec = ModelSpec(6, (3, 6, 1, 4, 2, 5), dist)
+        sampler = _StackSampler(spec)
+        bits = np.random.PCG64(0)
+        bits.state = state
+        raw = bits.random_raw(sampler.words)
+        assert raw[0] == 0
+        assert list(_lemire_resolve(raw[None], *sampler.rule)[1]) == [0]
+        states = list(_span_states(9, 1, 3))
+        states.insert(1, state)
+        (got_picks, got_w), (picks, w) = self._picks_and_w(monkeypatch, spec, states)
+        assert np.array_equal(got_picks, picks)
+        assert np.array_equal(got_w, w)
+
+    def test_resolve_equals_integers_at_wide_ranges(self):
+        # the rule's largest ranges, one draw per range from the same words;
+        # 2^31 + 1 is rejected about half the time, and such seeds are skipped
+        ranges = [2, 3, 2**31 + 1, 2**32 - 3, 2**32 - 2]
+        compared = 0
+        for seed in range(40):
+            ref = np.random.Generator(np.random.PCG64(seed))
+            raw = np.random.PCG64(seed).random_raw(3)[None]
+            offsets, rejected = _lemire_resolve(raw, *_lemire_rule(ranges))
+            if len(rejected) == 0:
+                assert offsets[0].tolist() == [int(ref.integers(0, s)) for s in ranges]
+                compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("bad", [0, 2**32 - 1, 2**32, 2**40])
+    def test_rule_refuses_other_branches(self, bad):
+        # numpy draws 2^32 - 1 by the same rule, but ranges from 2^32 take
+        # other branches; the rule refuses from 2^32 - 1 rather than guess
+        with pytest.raises(ValueError):
+            _lemire_rule([5, bad])
+        _lemire_rule([1, 5, 2**32 - 2])
+
+
+def _in_states(states):
+    """One generator set to each state in turn."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
 
 
 class TestSampling:

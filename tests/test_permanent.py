@@ -8,6 +8,7 @@ from permlab.core import DenseMatrix, PrecisionError, SizeLimitError
 from permlab.permanent import (
     _BLOCK_BITS,
     _glynn_pass,
+    _has_perfect_matching,
     _stack_size,
     per_naive,
     per_ryser,
@@ -105,6 +106,45 @@ class TestRyser:
         a = per_ryser(m)
         b = per_ryser(m)
         assert not a.is_zero and a.log_mag == b.log_mag and a.sign == b.sign
+
+
+class TestPerfectMatching:
+    """The Kuhn search against scipy's maximum bipartite matching."""
+
+    @staticmethod
+    def _scipy_perfect(a):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        match = maximum_bipartite_matching(csr_matrix(a != 0), perm_type="column")
+        return bool(np.all(match >= 0))
+
+    def test_random_supports(self):
+        rng = np.random.default_rng(12)
+        found = set()
+        for _ in range(450):
+            n = int(rng.integers(1, 21))
+            a = (rng.random((n, n)) < rng.uniform(0.05, 0.6)) * rng.random((n, n))
+            want = self._scipy_perfect(a)
+            assert _has_perfect_matching(a) == want
+            found.add(want)
+        assert found == {True, False}
+
+    def test_zero_row(self):
+        a = np.ones((5, 5))
+        a[3] = 0.0
+        assert not _has_perfect_matching(a)
+        assert not self._scipy_perfect(a)
+
+    def test_hall_violation(self):
+        # rows 0 and 1 can only use column 2; every other row is full
+        a = np.ones((6, 6))
+        a[:2] = 0.0
+        a[:2, 2] = 1.0
+        assert not _has_perfect_matching(a)
+        assert not self._scipy_perfect(a)
+        a[1, 4] = 1.0
+        assert _has_perfect_matching(a)
 
 
 class TestScaledPermanent:
