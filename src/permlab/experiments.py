@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .core import DistributionSpec, ModelSpec
-from .model import TrialSeed, _sample_standard_realizations, _span_states, _StackSampler, trial_rng
+from .model import TrialSeed, _sample_trial, _span_states, _StackSampler
 from .moments import moment_report
 from .permanent import _glynn_logs, _stack_size
 
@@ -87,22 +87,23 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     cancelled algebraically rather than numerically; ratios are therefore
     bit-identical across pure rescalings of the entry law. The ratio is
     exactly 0.0 when, and only when, the support has no perfect matching.
-    A one-trial stack drawn by the reference calls; a batch reads the same
-    draws from raw words, so its ratios are bit-identical to these.
+    The trial is a stack of one through the sampler and kernel pass that
+    batches use, so a batch's ratios are bit-identical to these.
     """
-    x, w = _sample_standard_realizations(spec, [trial_rng(seed)], 1)
-    return float(_trial_ratios(spec, x, w)[0])
+    return float(_trial_ratios(spec, *_sample_trial(spec, seed))[0])
 
 
 def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
     """Ratios of trials start..stop-1, in stacks of ``_stack_size(n)``; the
     span's generator states and its sampler are made once, for all its
-    stacks."""
+    stacks, and each stack's ratios are written into one array."""
     states = _span_states(master_seed, start, stop)
     sample = _StackSampler(spec)
     step = _stack_size(spec.n)
-    return np.concatenate([_trial_ratios(spec, *sample(list(itertools.islice(states, step))))
-                           for _ in range(start, stop, step)])
+    ratios = np.empty(stop - start)
+    for a in range(0, stop - start, step):
+        ratios[a:a + step] = _trial_ratios(spec, *sample(list(itertools.islice(states, step))))
+    return ratios
 
 
 @dataclass(frozen=True)

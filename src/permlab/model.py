@@ -13,19 +13,22 @@ swap. Reproducibility is across runs on the same build; changing generator
 or draw order is a breaking change.
 
 ``trial_rng`` builds that generator for one trial. A span of trials instead
-computes every trial's PCG64 (state, inc) at once from SeedSequence's
-published hash and PCG's seeding, and sets them in turn on one reused
-generator; the states are ``trial_rng``'s, so the streams are too.
+computes its trials' PCG64 (state, inc) from SeedSequence's published hash
+and PCG's seeding, a piece of trials at a time, and sets them in turn on one
+reused generator; the states are ``trial_rng``'s, so the streams are too.
 
-The picks are still ``integers(lows, n)``'s stream. A stack of more than
-one trial reads them as raw 64-bit words, one ``random_raw`` call per
-trial, and applies numpy's 32-bit Lemire rule to the whole stack; a trial
-with a rejected draw is drawn again by the reference call. Tests pin this
-against numpy's own calls.
+One sampler, ``_StackSampler``, draws every trial; a single trial is a
+stack of one on its ``trial_rng`` generator. The picks are
+``integers(lows, n)``'s stream. A stack of more than one trial reads them
+as raw 64-bit words, one ``random_raw`` call per trial, and applies numpy's
+32-bit Lemire rule to the whole stack; a trial with a rejected draw, and a
+stack of one, make the ``integers`` call itself. Tests pin this against
+numpy's own calls.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,6 +83,9 @@ _POOL = 4
 # PCG's default 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# Trials hashed per vectorized pass: large enough to spread the pass's fixed
+# cost (about 300 us), small enough that a span's seeding memory is bounded.
+_SEED_PIECE = 4096
 
 
 def _words32(v: int) -> list[int]:
@@ -131,29 +137,28 @@ def _hashed_state(entropy: list[np.ndarray]) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+def _seed_words(master_seed: int, start: int, stop: int):
     """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64)``
-    for i in start..stop-1, as a (stop - start, 4) uint64 array.
+    for i in start..stop-1, yielded as (trials, 4) uint64 arrays of at most
+    ``_SEED_PIECE`` trials each.
 
     A spawn key pads the master's words to the pool size; the index's words
     follow. An index has one word below 2^32, and its words above the low
-    64 bits only change at multiples of 2^64, so the span is hashed in
-    pieces cut there, each piece one vectorized pass.
+    64 bits only change at multiples of 2^64, so pieces are also cut there,
+    each piece one vectorized pass.
     """
     run = _words32(master_seed)
     run += [0] * (_POOL - len(run))
-    parts = []
     a = start
     while a < stop:
-        b = min(stop, 2**32 if a < 2**32 else ((a >> 64) + 1) << 64)
+        b = min(stop, a + _SEED_PIECE, 2**32 if a < 2**32 else ((a >> 64) + 1) << 64)
         low = np.uint64(a & _M64) + np.arange(b - a, dtype=np.uint64)
         index = [low & _M32] if a < 2**32 else [low & _M32, low >> 32]
         high = _words32(a >> 64) if a >> 64 else []
         fixed = [np.full(b - a, w, dtype=np.uint32) for w in run + high]
         entropy = fixed[:_POOL] + [w.astype(np.uint32) for w in index] + fixed[_POOL:]
-        parts.append(_hashed_state(entropy))
+        yield _hashed_state(entropy)
         a = b
-    return np.concatenate(parts)
 
 
 def _pcg64_state(words: list[int]) -> dict:
@@ -168,23 +173,11 @@ def _pcg64_state(words: list[int]) -> dict:
 
 def _span_states(master_seed: int, start: int, stop: int):
     """The PCG64 state dicts ``trial_rng`` gives trials start..stop-1, in
-    turn."""
-    for words in _seed_words(master_seed, start, stop):
-        yield _pcg64_state(words.tolist())
-
-
-def _span_rngs(master_seed: int, start: int, stop: int):
-    """The generators of trials start..stop-1 in turn, each in the state
-    ``trial_rng`` gives it.
-
-    One generator is reused: each step sets the next trial's state on it
-    and yields it again, so a yielded generator is only valid until the
-    next step.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state in _span_states(master_seed, start, stop):
-        rng.bit_generator.state = state
-        yield rng
+    turn. The span is hashed one piece at a time, so its memory does not
+    grow with its length."""
+    for piece in _seed_words(master_seed, start, stop):
+        for words in piece.tolist():
+            yield _pcg64_state(words)
 
 
 def _lemire_rule(ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,8 +223,7 @@ def _lemire_resolve(words: np.ndarray, cols: np.ndarray, ranges: np.ndarray,
 
 def _swap_mask(r) -> np.ndarray:
     """mask[i, k] is set when row i makes Fisher-Yates swap k, i.e. k < r_i."""
-    r = np.asarray(r)
-    return np.arange(r.max()) < r[:, None]
+    return np.arange(max(r)) < np.asarray(r)[:, None]
 
 
 def _supports(picks: np.ndarray, r, n: int) -> np.ndarray:
@@ -276,50 +268,37 @@ def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, .
     return tuple(sorted(arr[:r]))
 
 
-def _sample_standard_realizations(
-    spec: ModelSpec, rngs, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the (X, W) stacks, each of shape (count, n, n): the 0-1 support
-    matrices and unit-scale weight matrices of the next ``count`` trials
-    whose generators ``rngs`` yields.
-
-    Each trial's generator draws its picks in one call, then its W. This is
-    the reference form, which single trials use.
-    """
-    n = spec.n
-    lows = np.nonzero(_swap_mask(spec.r))[1]
-    picks = np.empty((count, lows.size), dtype=np.int64)
-    w = np.empty((count, n, n))
-    # range first: zip stops on it without taking a generator past count
-    for t, rng in zip(range(count), rngs):
-        picks[t] = rng.integers(lows, n)
-        w[t] = spec.dist.sample_standard(rng, (n, n))
-    return _supports(picks, spec.r, n), w
-
-
 class _StackSampler:
     """Draws the (X, W) stacks of trials given by their PCG64 state dicts,
-    on one reused generator, with the draws ``_sample_standard_realizations``
-    makes. Built once per span, so the spec's constants are too.
+    setting each in turn on one generator: ``rng`` if given, else a fresh
+    one. Built once per span, so the spec's constants are too.
 
-    In a stack of more than one trial, each trial makes one ``random_raw``
-    call for its picks, then draws W as the reference does: W's draws take
-    whole words, so a half-word the picks leave buffered does not move
-    them. One ``_lemire_resolve`` over the stack then turns the words into
-    picks. A trial with a rejected draw is drawn again from its state by the
-    reference calls, and so is a stack of one, where the resolve's fixed
-    cost would exceed what it saves.
+    A trial's picks are the stream of one ``integers(lows, n)`` call and its
+    W one ``sample_standard`` call; a stack of one makes exactly these calls.
+    In a larger stack each trial makes one ``random_raw`` call for its picks,
+    then draws W: W's draws take whole words, so a half-word the picks leave
+    buffered does not move them. One ``_lemire_resolve`` over the stack, with
+    constants built on the first such stack, turns the words into picks; a
+    trial with a rejected draw is drawn again from its state by the two calls.
+    A stack of one may give its state as None, to draw on ``rng`` as it
+    stands.
     """
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None):
         self.spec = spec
-        self.rng = np.random.Generator(np.random.PCG64(0))
+        self.rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
         self.lows = np.nonzero(_swap_mask(spec.r))[1]
-        self.rule = _lemire_rule(spec.n - self.lows)
-        # 32-bit draws, two to a word; only n = 1 has none
-        self.words = (np.count_nonzero(self.rule[1] > 1) + 1) // 2
 
-    def __call__(self, states: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _lemire_rule(self.spec.n - self.lows)
+
+    @functools.cached_property
+    def words(self) -> int:
+        # 32-bit draws, two to a word; only n = 1 has none
+        return (np.count_nonzero(self.rule[1] > 1) + 1) // 2
+
+    def __call__(self, states: list[dict | None]) -> tuple[np.ndarray, np.ndarray]:
         n, dist, rng = self.spec.n, self.spec.dist, self.rng
         bits, count = rng.bit_generator, len(states)
         picks = np.empty((count, self.lows.size), dtype=np.int64)
@@ -334,10 +313,17 @@ class _StackSampler:
             offsets, redraw = _lemire_resolve(raw, *self.rule)
             picks = self.lows + offsets
         for t in redraw:
-            bits.state = states[t]
+            if states[t] is not None:
+                bits.state = states[t]
             picks[t] = rng.integers(self.lows, n)
             w[t] = dist.sample_standard(rng, (n, n))
         return _supports(picks, self.spec.r, n), w
+
+
+def _sample_trial(spec: ModelSpec, seed: TrialSeed) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, W) stacks of one trial: a stack of one, drawn on the trial's
+    own ``trial_rng`` generator as it stands."""
+    return _StackSampler(spec, trial_rng(seed))([None])
 
 
 def sample_constrained_matrix(
@@ -345,7 +331,7 @@ def sample_constrained_matrix(
 ) -> tuple[DenseMatrix, DenseMatrix]:
     """One realization (X, Y): row i of X has exactly r_i ones, Z is i.i.d.
     from the entry law, and Y = X * Z termwise. Deterministic given seed."""
-    (x,), (w,) = _sample_standard_realizations(spec, [trial_rng(seed)], 1)
+    (x,), (w,) = _sample_trial(spec, seed)
     y = x * (spec.dist.scale * w)
     return DenseMatrix(x), DenseMatrix(y)
 

@@ -1,0 +1,47 @@
+"""Reference forms of the trial draw, kept as oracles for
+``permlab.model``'s sampler and span seeding.
+
+``_sample_standard_realizations`` draws trial by trial on the trials' own
+generators: one ``integers(lows, n)`` call for the Fisher-Yates picks, then
+W. ``_StackSampler``'s stacks, read from raw words, must equal it bit for
+bit. ``_span_rngs`` hands out a span's generators in the states
+``_span_states`` derives, so tests can draw from them as from
+``trial_rng``'s.
+"""
+
+import numpy as np
+
+from permlab import model
+from permlab.core import ModelSpec
+
+
+def _sample_standard_realizations(
+    spec: ModelSpec, rngs, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the (X, W) stacks, each of shape (count, n, n): the 0-1 support
+    matrices and unit-scale weight matrices of the next ``count`` trials
+    whose generators ``rngs`` yields."""
+    n = spec.n
+    lows = np.nonzero(model._swap_mask(spec.r))[1]
+    picks = np.empty((count, lows.size), dtype=np.int64)
+    w = np.empty((count, n, n))
+    # range first: zip stops on it without taking a generator past count
+    for t, rng in zip(range(count), rngs):
+        picks[t] = rng.integers(lows, n)
+        w[t] = spec.dist.sample_standard(rng, (n, n))
+    # looked up on the module, so a test that patches it sees the picks
+    return model._supports(picks, spec.r, n), w
+
+
+def _span_rngs(master_seed: int, start: int, stop: int):
+    """The generators of trials start..stop-1 in turn, each in the state
+    ``trial_rng`` gives it.
+
+    One generator is reused: each step sets the next trial's state on it
+    and yields it again, so a yielded generator is only valid until the
+    next step.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in model._span_states(master_seed, start, stop):
+        rng.bit_generator.state = state
+        yield rng

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -22,7 +23,7 @@ from permlab.experiments import (
     summary_row,
     write_csv,
 )
-from permlab.model import TrialSeed, sample_constrained_matrix
+from permlab.model import _SEED_PIECE, TrialSeed, _span_states, sample_constrained_matrix, trial_rng
 from permlab.moments import moment_report
 from permlab.permanent import _stack_size
 
@@ -229,6 +230,32 @@ class TestBatchEqualsSingle:
         # the stacked low tables hold at most one n = 12 table
         assert [_stack_size(n) for n in (1, 3, 6, 8, 11, 12, 13, 20)] == [
             24576, 2048, 128, 24, 2, 1, 1, 1]
+
+
+class TestRunRangeMemory:
+    """A span hashes its seeds in pieces, so its memory grows by the 8-byte
+    ratio per trial only."""
+
+    def test_peak_grows_by_the_ratios_only(self):
+        spec = ModelSpec.homogeneous(3, 2, CONST1)
+        experiments._run_range(spec, 7, 0, 100)  # first-call allocations
+        peaks = {}
+        for trials in (10_000, 50_000):
+            tracemalloc.start()
+            try:
+                experiments._run_range(spec, 7, 0, trials)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        growth = peaks[50_000] - peaks[10_000]
+        assert growth <= 8 * 40_000 + 2**18, peaks
+
+    def test_pieces_keep_trial_rng_states(self):
+        # one full piece, one cut short at 2^32, one past it
+        start, stop = 2**32 - _SEED_PIECE - 3, 2**32 + 5
+        got = list(_span_states(3, start, stop))
+        want = [trial_rng(TrialSeed(3, i)).bit_generator.state for i in range(start, stop)]
+        assert got == want
 
 
 class TestParallelism:

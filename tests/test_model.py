@@ -12,8 +12,6 @@ from permlab.model import (
     TrialSeed,
     _lemire_resolve,
     _lemire_rule,
-    _sample_standard_realizations,
-    _span_rngs,
     _span_states,
     _StackSampler,
     constraint_class_size,
@@ -22,6 +20,7 @@ from permlab.model import (
     sample_row_support,
     trial_rng,
 )
+from sampler_reference import _sample_standard_realizations, _span_rngs
 
 CONST1 = DistributionSpec.constant(1)
 
