@@ -20,7 +20,7 @@ import numpy as np
 from .core import DistributionSpec, ModelSpec
 from .model import TrialSeed, _sample_trial, _span_states, _StackSampler
 from .moments import moment_report
-from .permanent import _glynn_logs, _stack_size
+from .permanent import _glynn_logs, _pass_shape
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -94,12 +94,12 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
 
 
 def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """Ratios of trials start..stop-1, in stacks of ``_stack_size(n)``; the
-    span's generator states and its sampler are made once, for all its
+    """Ratios of trials start..stop-1, in stacks of ``_pass_shape(n)[0]``;
+    the span's generator states and its sampler are made once, for all its
     stacks, and each stack's ratios are written into one array."""
     states = _span_states(master_seed, start, stop)
     sample = _StackSampler(spec)
-    step = _stack_size(spec.n)
+    step = _pass_shape(spec.n)[0]
     ratios = np.empty(stop - start)
     for a in range(0, stop - start, step):
         ratios[a:a + step] = _trial_ratios(spec, *sample(list(itertools.islice(states, step))))

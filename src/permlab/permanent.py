@@ -27,6 +27,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import DenseMatrix, PrecisionError, ScaledValue, SizeLimitError
+from .model import _SEED_PIECE
 
 __all__ = ["per_naive", "per_ryser", "per_scaled", "NAIVE_MAX_N", "RYSER_MAX_N"]
 
@@ -34,11 +35,10 @@ NAIVE_MAX_N = 10
 RYSER_MAX_N = 30
 
 # Sign patterns split into a low block over columns 0..b-1, evaluated at once
-# as a table of signed row sums, and the high columns, taken in chunks of H
-# patterns (a power of two) that share one (n, H, 2^(b-1)) table of at most
-# _CHUNK_ENTRIES doubles. That 1 MB and the table's rows stay in L2 while
-# each numpy call covers H patterns: H = 4 at n = 13-16 and 2 above, which
-# timed best at n = 16-22 (H = 1 and 8 were slower).
+# as a table of signed row sums, and the high columns, taken H at a time. Each
+# numpy call covers a pass's m matrices and H patterns, whose (m, n, H,
+# 2^(b-1)) table of at most _CHUNK_ENTRIES doubles (1 MB) stays in L2. H = 4
+# at n = 14-16 and 2 above timed best at n = 16-22 (H = 1 and 8 were slower).
 _BLOCK_BITS = 12
 _CHUNK_ENTRIES = 1 << 17
 # high patterns whose sign rows and base row sums are formed together, so
@@ -82,11 +82,13 @@ def _low_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _stack_size(n: int) -> int:
-    """Matrices per Glynn pass: the most whose low tables together hold no
-    more entries than one n = _BLOCK_BITS table, and at least one."""
+def _pass_shape(n: int) -> tuple[int, int]:
+    """(stack, chunk): the largest power of two of the 2^(n-b) high patterns,
+    then the most matrices up to a seed piece, whose table fits _CHUNK_ENTRIES."""
     b = min(n, _BLOCK_BITS)
-    return max(1, (_BLOCK_BITS << (_BLOCK_BITS - 1)) // (n << (b - 1)))
+    fit = max(1, _CHUNK_ENTRIES // (n << (b - 1)))
+    chunk = min(1 << (n - b), 1 << (fit.bit_length() - 1))
+    return min(fit // chunk, _SEED_PIECE), chunk
 
 
 def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -107,9 +109,7 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
         # one high pattern, whose zero base leaves the low table as it is
         yield 0, np.prod(a @ signs.T, axis=1)[:, None]
         return
-    # the largest power of two of patterns whose table fits _CHUNK_ENTRIES
-    fit = max(1, _CHUNK_ENTRIES // (n * len(signs)))
-    chunk = min(1 << (n - b), 1 << (fit.bit_length() - 1))
+    chunk = _pass_shape(n)[1]
     # one block holds the [low_i; 1] rows and the table: as two blocks of
     # this size, malloc returned them to the system after every pass, which
     # then faulted them in again (about 300 page faults a pass at n = 20)

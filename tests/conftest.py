@@ -1,10 +1,25 @@
-"""Collects acceptance-criterion outcomes and prints one line per criterion
-at the end of the run."""
+"""Puts ``src`` on the path of the ``python -m permlab`` children, and
+collects acceptance-criterion outcomes to print one line per criterion at
+the end of the run."""
 
+import os
 import re
+from pathlib import Path
+
+import pytest
 
 _CRITERION_PATTERN = re.compile(r"test_acceptance\.py.*criterion_(\d+)")
 _results: dict[int, bool] = {}
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    # pytest's pythonpath setting reaches this process only, not the CLI
+    # subprocesses, so a checkout without the install needs it exported
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def pytest_runtest_logreport(report):

@@ -25,7 +25,7 @@ from permlab.experiments import (
 )
 from permlab.model import _SEED_PIECE, TrialSeed, _span_states, sample_constrained_matrix, trial_rng
 from permlab.moments import moment_report
-from permlab.permanent import _stack_size
+from permlab.permanent import _BLOCK_BITS, _CHUNK_ENTRIES, _pass_shape
 
 CONST1 = DistributionSpec.constant(1)
 SPEC3 = ModelSpec(3, (2, 2, 2), CONST1)
@@ -217,7 +217,7 @@ class TestBatchEqualsSingle:
         # rows with r_i = 1 and r_i = n, the rest mixed
         r = tuple([1, n] + [1 + (3 * i) % n for i in range(n - 2)])[:n]
         spec = ModelSpec(n, r, dist)
-        stack = _stack_size(n)
+        stack = _pass_shape(n)[0]
         # cross a stack boundary where a stack is small enough to fill
         trials = max(stack + 3, 20) if stack <= 2048 else 200
         single = [run_trial(spec, TrialSeed(21, i)) for i in range(trials)]
@@ -226,10 +226,23 @@ class TestBatchEqualsSingle:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
         assert np.array_equal(estimate_moments(spec, trials, 21, workers=3).ratios, single)
 
+    def test_capped_stack_crosses_a_boundary(self):
+        # at n = 3 a stack is a whole seed piece, more than the test above fills
+        spec = ModelSpec(3, (1, 3, 2), DistributionSpec.exponential(1.5))
+        trials = _SEED_PIECE + 3
+        single = [run_trial(spec, TrialSeed(21, i)) for i in range(trials)]
+        assert np.array_equal(estimate_moments(spec, trials, 21, workers=1).ratios, single)
+
     def test_stack_sizes(self):
-        # the stacked low tables hold at most one n = 12 table
-        assert [_stack_size(n) for n in (1, 3, 6, 8, 11, 12, 13, 20)] == [
-            24576, 2048, 128, 24, 2, 1, 1, 1]
+        # one budget: the stacked (stack, n, chunk, 2^(b-1)) table fits it
+        assert [_pass_shape(n) for n in (1, 3, 6, 8, 11, 12, 13, 14, 16, 20)] == [
+            (4096, 1), (4096, 1), (682, 1), (128, 1), (11, 1), (5, 1), (2, 2),
+            (1, 4), (1, 4), (1, 2)]
+        for n in range(1, 31):
+            stack, chunk = _pass_shape(n)
+            table = n << (min(n, _BLOCK_BITS) - 1)
+            assert stack * chunk * table <= max(_CHUNK_ENTRIES, table), n
+            assert 1 <= stack <= _SEED_PIECE, n
 
 
 class TestRunRangeMemory:

@@ -9,7 +9,7 @@ from permlab.permanent import (
     _BLOCK_BITS,
     _glynn_pass,
     _has_perfect_matching,
-    _stack_size,
+    _pass_shape,
     per_naive,
     per_ryser,
     per_scaled,
@@ -226,8 +226,8 @@ class TestChunkedPassMatchesReference:
             hi_zero[:, _BLOCK_BITS:] = 0.0
             inputs["high columns zero"] = hi_zero
         stacks = {name: x[None] for name, x in inputs.items()}
-        if n <= _BLOCK_BITS:
-            full = [_support(rng, [half] * n) for _ in range(_stack_size(n))]
+        if _pass_shape(n)[0] > 1:
+            full = [_support(rng, [half] * n) for _ in range(_pass_shape(n)[0])]
             stacks["full stack"] = _rescaled(np.stack(full), rng)
         for name, a in stacks.items():
             values, errs = _glynn_pass(a)
