@@ -114,7 +114,7 @@ _Params = tuple[float, ...]
 
 class _Family(NamedTuple):
     """One entry-law family: its CLI tag and arity, its parameter rule and
-    the message naming it, its closed forms, and the fixed draw of W."""
+    the message naming it, its closed forms, and the fixed in-place draw of W."""
 
     tag: str
     arity: int
@@ -125,7 +125,7 @@ class _Family(NamedTuple):
     delta_over_nu2: Callable[[_Params], float]
     scale: Callable[[_Params], float]
     standard_mean: Callable[[_Params], float]
-    draw: Callable[[_Params, np.random.Generator, tuple[int, ...]], np.ndarray]
+    draw: Callable[[_Params, np.random.Generator, np.ndarray], np.ndarray]
 
 
 def _uniform_nu(p: _Params) -> float:
@@ -145,20 +145,21 @@ _FAMILIES: dict[str, _Family] = {
         "const", 1, lambda p: p[0] > 0, "constant distribution requires c > 0",
         nu=lambda p: p[0], delta=lambda p: p[0] ** 2, delta_over_nu2=lambda p: 1.0,
         scale=lambda p: p[0], standard_mean=lambda p: 1.0,
-        draw=lambda p, rng, shape: np.ones(shape),
+        draw=lambda p, rng, out: out.fill(1.0) or out,
     ),
     "uniform": _Family(
         "uniform", 2, lambda p: 0 < p[0] < p[1], "uniform distribution requires 0 < a < b",
         nu=_uniform_nu, delta=_uniform_delta,
         delta_over_nu2=lambda p: _uniform_delta(p) / _uniform_nu(p) ** 2,
         scale=lambda p: 1.0, standard_mean=_uniform_nu,
-        draw=lambda p, rng, shape: p[0] + (p[1] - p[0]) * rng.random(shape),
+        draw=lambda p, rng, out: np.add(np.multiply(rng.random(out=out), p[1] - p[0], out=out),
+                                        p[0], out=out),
     ),
     "exponential": _Family(
         "exp", 1, lambda p: p[0] > 0, "exponential distribution requires rate > 0",
         nu=lambda p: 1.0 / p[0], delta=lambda p: 2.0 / p[0] ** 2, delta_over_nu2=lambda p: 2.0,
         scale=lambda p: 1.0 / p[0], standard_mean=lambda p: 1.0,
-        draw=lambda p, rng, shape: rng.standard_exponential(shape, method="inv"),
+        draw=lambda p, rng, out: rng.standard_exponential(out=out, method="inv"),
     ),
     "lognormal": _Family(
         "lognormal", 2, lambda p: p[1] > 0, "lognormal distribution requires scale s > 0",
@@ -166,7 +167,8 @@ _FAMILIES: dict[str, _Family] = {
         delta=lambda p: math.exp(2.0 * p[0] + 2.0 * p[1] ** 2),
         delta_over_nu2=lambda p: math.exp(p[1] ** 2),
         scale=lambda p: math.exp(p[0]), standard_mean=lambda p: math.exp(p[1] ** 2 / 2.0),
-        draw=lambda p, rng, shape: np.exp(p[1] * rng.standard_normal(shape)),
+        draw=lambda p, rng, out: np.exp(np.multiply(rng.standard_normal(out=out), p[1], out=out),
+                                        out=out),
     ),
 }
 _TAG_TO_KIND = {fam.tag: kind for kind, fam in _FAMILIES.items()}
@@ -294,8 +296,9 @@ class DistributionSpec:
         constant: ones, no generator consumption. uniform: a + (b-a)*U with
         U from ``rng.random``. exponential: ``standard_exponential`` with
         ``method='inv'`` (inverse CDF). lognormal: exp(s * standard normal).
+        Trial sampling makes the same draw in place into its stack.
         """
-        return _FAMILIES[self.kind].draw(self.params, rng, shape)
+        return _FAMILIES[self.kind].draw(self.params, rng, np.empty(shape))
 
 
 @dataclass(frozen=True)

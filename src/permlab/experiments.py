@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -46,18 +45,24 @@ def jackknife_se_of_variance(values: np.ndarray) -> float:
     """Nonparametric jackknife standard error of the sample variance.
 
     Leave-one-out variances are formed in closed form from the first two
-    power sums, so the whole estimate is O(len(values)).
+    power sums, so the whole estimate is O(len(values)), in two scratch
+    arrays whose in-place steps are the plain formula's operations in order.
     """
     x = np.asarray(values, dtype=float)
     m = x.size
     if m < 3:
         return float("nan")
     s1 = x.sum()
-    s2 = (x * x).sum()
-    loo_mean = (s1 - x) / (m - 1)
-    loo_var = (s2 - x * x - (m - 1) * loo_mean * loo_mean) / (m - 2)
-    centered = loo_var - loo_var.mean()
-    return math.sqrt((m - 1) / m * float(centered @ centered))
+    a = x * x
+    s2 = a.sum()
+    b = np.subtract(s1, x)
+    b /= m - 1  # leave-one-out means L
+    np.multiply(np.multiply(b, m - 1, out=a), b, out=a)  # (m - 1) L^2
+    np.subtract(s2, np.multiply(x, x, out=b), out=b)
+    b -= a
+    b /= m - 2  # leave-one-out variances
+    b -= b.mean()
+    return math.sqrt((m - 1) / m * float(b @ b))
 
 
 def _trial_ratios(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -73,8 +78,8 @@ def _trial_ratios(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     log_scales = math.fsum(math.log(s) for s in scales)
     log_mu0 = log_scales + (math.log(math.factorial(n)) - n * math.log(n))
     logs = _glynn_logs(x * w / scales[:, None])
-    return np.array([0.0 if lv == -math.inf else math.exp(lv + log_scales - log_mu0)
-                     for lv in logs])
+    # exp(-inf) is 0.0: a zero permanent gives a zero ratio
+    return np.array([math.exp(lv + log_scales - log_mu0) for lv in logs])
 
 
 def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
@@ -179,6 +184,13 @@ def _resolve_workers(workers: int | None) -> int:
     if workers <= 0:
         raise ValueError(f"worker count must be positive, got {workers}")
     return min(workers, len(os.sched_getaffinity(0)))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported on first use: it loads
+    multiprocessing, which a single-process run never needs."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _check_epsilon(epsilon: float) -> None:

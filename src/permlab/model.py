@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix, ModelSpec, SizeLimitError
+from .core import _FAMILIES, DenseMatrix, ModelSpec, SizeLimitError
 
 __all__ = [
     "TrialSeed",
@@ -274,20 +274,21 @@ class _StackSampler:
     one. Built once per span, so the spec's constants are too.
 
     A trial's picks are the stream of one ``integers(lows, n)`` call and its
-    W one ``sample_standard`` call; a stack of one makes exactly these calls.
-    In a larger stack each trial makes one ``random_raw`` call for its picks,
-    then draws W: W's draws take whole words, so a half-word the picks leave
-    buffered does not move them. One ``_lemire_resolve`` over the stack, with
-    constants built on the first such stack, turns the words into picks; a
-    trial with a rejected draw is drawn again from its state by the two calls.
-    A stack of one may give its state as None, to draw on ``rng`` as it
-    stands.
+    W ``sample_standard``'s draw, made in place; a stack of one makes exactly
+    these calls. In a larger stack each trial makes one ``random_raw`` call
+    for its picks, then draws W: W's draws take whole words, so a half-word
+    the picks leave buffered does not move them. One ``_lemire_resolve`` over
+    the stack, with constants built on the first such stack, turns the words
+    into picks; a trial with a rejected draw is drawn again from its state by
+    the two calls. A stack of one may give its state as None, to draw on
+    ``rng`` as it stands.
     """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None):
         self.spec = spec
         self.rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
         self.lows = np.nonzero(_swap_mask(spec.r))[1]
+        self.draw = functools.partial(_FAMILIES[spec.dist.kind].draw, spec.dist.params)
 
     @functools.cached_property
     def rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,7 +300,7 @@ class _StackSampler:
         return (np.count_nonzero(self.rule[1] > 1) + 1) // 2
 
     def __call__(self, states: list[dict | None]) -> tuple[np.ndarray, np.ndarray]:
-        n, dist, rng = self.spec.n, self.spec.dist, self.rng
+        n, draw, rng = self.spec.n, self.draw, self.rng
         bits, count = rng.bit_generator, len(states)
         picks = np.empty((count, self.lows.size), dtype=np.int64)
         w = np.empty((count, n, n))
@@ -309,14 +310,14 @@ class _StackSampler:
             for t, state in enumerate(states):
                 bits.state = state
                 raw[t] = bits.random_raw(self.words)
-                w[t] = dist.sample_standard(rng, (n, n))
+                draw(rng, w[t])
             offsets, redraw = _lemire_resolve(raw, *self.rule)
             picks = self.lows + offsets
         for t in redraw:
             if states[t] is not None:
                 bits.state = states[t]
             picks[t] = rng.integers(self.lows, n)
-            w[t] = dist.sample_standard(rng, (n, n))
+            draw(rng, w[t])
         return _supports(picks, self.spec.r, n), w
 
 

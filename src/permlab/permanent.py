@@ -11,10 +11,10 @@ deterministic: repeated calls on the same matrix are bit-identical.
 
 The Glynn pass handles its high sign patterns in chunks. A chunk's table of
 low row sums plus base sums is one stacked product [1, base] @ [low; 1],
-exact in both products, so every entry is the single rounding of
-low + base; the base sums and the final signed dot stay one product per
-pattern, in pattern order, because stacking either changes the last bits.
-The pass therefore equals the one-pattern-at-a-time loop bit for bit.
+exact in both products, so every entry is the single rounding of low +
+base; base sums stay one product per pattern, signed sums one np.vecdot
+per chunk (numpy's per-row dot), added in pattern order. The pass therefore
+equals the one-pattern-at-a-time loop bit for bit.
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     per(A) = 2^-(n-1) sum over d in {+1,-1}^n, d_0 = +1, of
     prod_k d_k prod_i sum_j d_j a_ij. The low block's signed row sums are one
     table per matrix; each high pattern adds its base row sums
-    a[:, hi] @ signs to it. The signed sum over the table is one dot per
-    matrix and pattern, taken in pattern order, so a matrix's value depends
-    neither on its stack nor on the chunking.
+    a[:, hi] @ signs to it. A chunk's signed sums are one np.vecdot (the
+    per-row dot), added to the totals in pattern order, so a matrix's value
+    depends neither on its stack nor on the chunking.
 
     Returns (values, errs), one entry per matrix. For nonnegative ``a`` no
     term exceeds P = prod_i rowsum_i, so the rounding error is below
@@ -151,13 +151,10 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[1]
     b = min(n, _BLOCK_BITS)
     sign_low = _low_signs(b)[1]
-    totals = [0.0] * len(a)
+    totals = np.zeros(len(a))
     for h0, prods in _chunk_products(a, b):
-        for j, pattern_prods in enumerate(prods.swapaxes(0, 1)):
-            odd = (h0 + j).bit_count() & 1
-            for k, prod in enumerate(pattern_prods):
-                s = float(sign_low.dot(prod))
-                totals[k] += -s if odd else s
+        for j, sums in enumerate(np.vecdot(sign_low, prods).T):
+            (np.subtract if (h0 + j).bit_count() & 1 else np.add)(totals, sums, out=totals)
     rowprods = np.prod(a.sum(axis=2), axis=1)
     errs = (n * n + 2 * n + len(sign_low) + (1 << (n - b))) * _EPS * rowprods
     return np.ldexp(totals, 1 - n), errs
@@ -186,21 +183,23 @@ def _glynn_logs(a: np.ndarray) -> list[float]:
 
     A value within the pass's rounding bound is decided on the support:
     exactly zero when it has no perfect matching, and a PrecisionError when
-    it has one but the value is not positive. No result is clamped.
+    it has one but the value is not positive. An empty row or column marks
+    a zero without the matching search. No result is clamped.
     """
     if a.shape[1] > RYSER_MAX_N:
         raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {a.shape[1]}")
     values, errs = _glynn_pass(a)
-    logs = []
-    for k, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
-        if value <= err and not _has_perfect_matching(a[k]):
-            logs.append(-math.inf)
-        elif value <= 0:
-            raise PrecisionError(f"permanent {value!r} is within its rounding bound "
-                                 f"{err:.3g} but the support has a perfect matching")
-        else:
-            logs.append(math.log(value))
-    return logs
+    flagged = np.flatnonzero(values <= errs)
+    support = a[flagged] != 0
+    covered = support.any(axis=2).all(axis=1) & support.any(axis=1).all(axis=1)
+    zeros = set(flagged[~covered].tolist())
+    for k in flagged[covered].tolist():
+        if not _has_perfect_matching(a[k]):
+            zeros.add(k)
+        elif values[k] <= 0:
+            raise PrecisionError(f"permanent {float(values[k])!r} is within its rounding "
+                                 f"bound {errs[k]:.3g} but the support has a perfect matching")
+    return [-math.inf if k in zeros else math.log(v) for k, v in enumerate(values.tolist())]
 
 
 def per_ryser(m: DenseMatrix) -> ScaledValue:

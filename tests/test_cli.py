@@ -323,6 +323,14 @@ class TestImports:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
 
+    def test_cli_loads_no_process_pool(self):
+        # a run with one worker never starts a pool, so need not import one
+        probe = ("import sys, permlab.cli; print(sorted({'multiprocessing', "
+                 "'concurrent.futures.process'} & set(sys.modules)))")
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
 
 class TestDeterminism:
     def test_mc_byte_identical_and_worker_independent(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab.core import (
+    _FAMILIES,
     DenseMatrix,
     DistributionSpec,
     ModelSpec,
@@ -147,6 +148,21 @@ class TestDistributionSpec:
             rng, ref = np.random.default_rng(42), np.random.default_rng(42)
             assert np.array_equal(dist.sample_standard(rng, (3, 4)), draw(ref, (3, 4)))
             assert rng.random() == ref.random(), dist
+
+    @pytest.mark.parametrize("text", ["const:2.5", "uniform:0.5,2", "exp:1.5", "lognormal:0.3,0.8"])
+    def test_in_place_draw_into_stack_equals_sample_standard(self, text):
+        # trial sampling draws W into its stack slice; the slice gets
+        # sample_standard's bits, its neighbours are untouched, and both
+        # generators end in the same state
+        dist = DistributionSpec.from_string(text)
+        draw = _FAMILIES[dist.kind].draw
+        for n in (1, 6, 13):
+            w = np.full((3, n, n), np.nan)
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            draw(dist.params, rng, w[1])
+            assert np.array_equal(w[1], dist.sample_standard(ref, (n, n))), n
+            assert np.isnan(w[0]).all() and np.isnan(w[2]).all(), n
+            assert rng.random() == ref.random(), n
 
     def test_scale_standard_factorization(self):
         rng = np.random.default_rng(0)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from glynn_reference import glynn_pass_reference
+from permlab import permanent
 from permlab.core import DenseMatrix, PrecisionError, SizeLimitError
 from permlab.permanent import (
     _BLOCK_BITS,
+    _glynn_logs,
     _glynn_pass,
     _has_perfect_matching,
+    _low_signs,
     _pass_shape,
     per_naive,
     per_ryser,
@@ -145,6 +148,38 @@ class TestPerfectMatching:
         assert not self._scipy_perfect(a)
         a[1, 4] = 1.0
         assert _has_perfect_matching(a)
+
+
+class TestZeroScreen:
+    def test_empty_column_skips_the_matching_search(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.copy())
+            return _has_perfect_matching(a)
+
+        monkeypatch.setattr(permanent, "_has_perfect_matching", counted)
+        empty_column = np.array([[1.0, 0, 1], [1, 0, 1], [0, 0, 1]])
+        hall = np.array([[1.0, 0, 0], [1, 0, 0], [0, 1, 1]])  # rows {0}, {0}, {1, 2}
+        logs = _glynn_logs(np.stack([empty_column, hall, np.ones((3, 3))]))
+        assert logs[:2] == [-math.inf, -math.inf]
+        assert logs[2] == pytest.approx(math.log(6), rel=1e-14)
+        assert len(calls) == 1 and np.array_equal(calls[0], hall)
+
+
+class TestVecdotCanary:
+    """The pass's signed sums are np.vecdot over the last axis; they must be
+    the per-row ndarray.dot (numpy's DOUBLE_dot) bit for bit, which a
+    matrix-vector product is not."""
+
+    @pytest.mark.parametrize("b", range(1, _BLOCK_BITS + 1))
+    @pytest.mark.parametrize("m", [1, 3, 682])
+    def test_vecdot_equals_rowwise_dot(self, b, m):
+        sign_low = _low_signs(b)[1]
+        rng = np.random.default_rng(1000 * b + m)
+        prods = rng.standard_normal((m, 2, len(sign_low))) * rng.exponential(1.0, (m, 2, 1))
+        want = np.array([[sign_low.dot(row) for row in pattern] for pattern in prods])
+        assert np.array_equal(np.vecdot(sign_low, prods), want)
 
 
 class TestScaledPermanent:
