@@ -1,6 +1,6 @@
 """Shared domain types: weight-entry distributions, model specification,
-dense matrices with text I/O, and a sign/log-magnitude scalar for values
-that overflow plain floats."""
+dense matrices with text I/O, and a log-space scalar for nonnegative
+values that overflow plain floats."""
 
 from __future__ import annotations
 
@@ -53,60 +53,36 @@ class PrecisionError(PermlabError, ArithmeticError):
 
 @dataclass(frozen=True)
 class ScaledValue:
-    """Scalar stored as a sign and the natural log of its magnitude.
+    """Nonnegative scalar stored as the natural log of its value.
 
-    Represents exactly zero when ``is_zero`` is set, otherwise
-    ``sign * exp(log_mag)``. Zero is a distinct flag rather than
-    ``log_mag = -inf``, so ``log_mag`` is always finite and rescaling by a
-    log factor never produces NaNs.
+    ``log_mag = -inf`` is exactly zero, the mark the permanent kernel
+    returns; the log stays finite far outside the double range, where
+    the value itself overflows or underflows.
     """
 
-    is_zero: bool
     log_mag: float
-    sign: int
 
     def __post_init__(self) -> None:
-        if self.is_zero:
-            if self.log_mag != 0.0 or self.sign != 1:
-                raise ValueError("zero ScaledValue must have log_mag=0.0, sign=1")
-        else:
-            if self.sign not in (-1, 1):
-                raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-            if not math.isfinite(self.log_mag):
-                raise ValueError(f"log_mag must be finite, got {self.log_mag}")
+        if not self.log_mag < math.inf:  # NaN and +inf
+            raise ValueError(f"log_mag must be finite or -inf, got {self.log_mag}")
 
-    @staticmethod
-    def zero() -> "ScaledValue":
-        return ScaledValue(True, 0.0, 1)
+    @property
+    def is_zero(self) -> bool:
+        return self.log_mag == -math.inf
 
     @staticmethod
     def from_float(x: float) -> "ScaledValue":
         x = float(x)
-        if x == 0.0:
-            return ScaledValue.zero()
-        if not math.isfinite(x):
-            raise ValueError(f"cannot represent non-finite value {x}")
-        return ScaledValue(False, math.log(abs(x)), 1 if x > 0 else -1)
-
-    @staticmethod
-    def from_log(log_mag: float, sign: int = 1) -> "ScaledValue":
-        return ScaledValue(False, float(log_mag), sign)
+        if not 0 <= x < math.inf:
+            raise ValueError(f"cannot represent {x}: need a finite value >= 0")
+        return ScaledValue(math.log(x) if x else -math.inf)
 
     def to_float(self) -> float:
-        """Decimal value; overflows to +-inf outside float range."""
-        if self.is_zero:
-            return 0.0
+        """Decimal value; overflows to inf outside float range."""
         try:
-            mag = math.exp(self.log_mag)
+            return math.exp(self.log_mag)
         except OverflowError:
-            mag = math.inf
-        return self.sign * mag
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "ScaledValue(0)"
-        s = "-" if self.sign < 0 else ""
-        return f"ScaledValue({s}exp({self.log_mag!r}))"
+            return math.inf
 
 
 _Params = tuple[float, ...]
@@ -365,14 +341,6 @@ class DenseMatrix:
     def entries(self) -> np.ndarray:
         """Read-only float array view."""
         return self._a
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
-
-    def __hash__(self) -> int:
-        return hash((self._a.shape, self._a.tobytes()))
 
     def __repr__(self) -> str:
         return f"DenseMatrix(n={self.n})"

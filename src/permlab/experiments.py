@@ -215,6 +215,7 @@ def estimate_moments(
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     _check_epsilon(epsilon)
+    TrialSeed(master_seed, trials - 1)  # its seed rule, before any span runs
     nworkers = _resolve_workers(workers)
     if nworkers == 1:
         ratios = _run_range(spec, master_seed, 0, trials)
@@ -379,8 +380,6 @@ def csv_text(rows) -> str:
 
 
 def write_csv(rows, path: str) -> None:
-    """Write sweep rows (or a single TrialBatch) as CSV, ``csv_text``'s bytes."""
-    if isinstance(rows, TrialBatch):
-        rows = [summary_row(rows)]
+    """Write sweep rows as CSV, ``csv_text``'s bytes."""
     with open(path, "w", newline="") as fh:
         fh.write(csv_text(rows))

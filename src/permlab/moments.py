@@ -50,7 +50,7 @@ def mu_n(spec: ModelSpec) -> ScaledValue:
          math.lgamma(n + 1),
          -n * math.log(n)]
     )
-    return ScaledValue.from_log(log_mu)
+    return ScaledValue(log_mu)
 
 
 def vdw_bound(n: int, r: int) -> ScaledValue:
@@ -62,7 +62,7 @@ def vdw_bound(n: int, r: int) -> ScaledValue:
     """
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
-    return ScaledValue.from_log(n * math.log(r) + math.lgamma(n + 1) - n * math.log(n))
+    return ScaledValue(n * math.log(r) + math.lgamma(n + 1) - n * math.log(n))
 
 
 class AlphaBeta(NamedTuple):

@@ -229,6 +229,5 @@ def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
         raise ValueError("row scales must be finite and positive")
     (log_v,) = _glynn_logs((m.entries / scales[:, None])[None])
-    if log_v == -math.inf:
-        return ScaledValue.zero()
-    return ScaledValue.from_log(log_v + math.fsum(math.log(s) for s in scales))
+    # an exact zero's -inf stays -inf
+    return ScaledValue(log_v + math.fsum(math.log(s) for s in scales))

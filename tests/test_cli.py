@@ -1,4 +1,5 @@
 import math
+import resource
 import subprocess
 import sys
 
@@ -190,7 +191,7 @@ class TestVerify:
                 + n * math.log(n)
                 - math.lgamma(n + 1)
             )
-            return ScaledValue.from_log(log_mu)
+            return ScaledValue(log_mu)
 
         checks = cross_check_suite(mu_fn=broken_mu)
         mean_checks = [c for c in checks if "mean" in c.label]
@@ -225,6 +226,18 @@ class TestMcSweep:
 
     def test_guard_exit_2(self):
         assert main(["mc", "--n", "40", "--r", "2", "--trials", "10", "--seed", "0"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exit_2(self, seed):
+        # a child with a capped address space: a seed that reaches the
+        # seeding loop unchecked grows a list until memory runs out
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        r = run_cli(["mc", "--n", "3", "--r", "2", "--trials", "10", "--seed", seed,
+                     "--workers", "1"], timeout=120, preexec_fn=cap)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "master_seed must be a 64-bit nonnegative integer" in r.stderr
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exit_2(self, workers, monkeypatch, capsys):

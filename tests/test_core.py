@@ -20,27 +20,30 @@ from permlab.core import (
 
 class TestScaledValue:
     def test_zero_flag(self):
-        z = ScaledValue.zero()
+        z = ScaledValue(-math.inf)
         assert z.is_zero
         assert z.to_float() == 0.0
-        assert ScaledValue.from_float(0.0).is_zero
+        assert ScaledValue.from_float(0.0) == z
 
     def test_roundtrip_near_identity(self):
         # exp(log x) loses relative precision ~ |log x| * eps
-        for x in (1.0, -3.5, 1e-200, 7e250):
+        for x in (1.0, 3.5, 1e-200, 7e250):
             back = ScaledValue.from_float(x).to_float()
             assert back == pytest.approx(x, rel=1e-12)
-            assert math.copysign(1, back) == math.copysign(1, x)
 
     def test_overflowing_magnitude_prints_inf(self):
-        big = ScaledValue.from_log(1000.0)
+        big = ScaledValue(1000.0)
         assert big.to_float() == math.inf
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            ScaledValue(False, math.inf, 1)
+            ScaledValue(math.nan)
         with pytest.raises(ValueError):
-            ScaledValue(False, 0.0, 2)
+            ScaledValue(math.inf)
+        with pytest.raises(ValueError):
+            ScaledValue.from_float(-3.5)
+        with pytest.raises(ValueError):
+            ScaledValue.from_float(math.inf)
         with pytest.raises(ValueError):
             ScaledValue.from_float(math.nan)
 
@@ -240,7 +243,7 @@ class TestMatrixIO:
     )
     def test_round_trip(self, rows):
         m = DenseMatrix(rows)
-        assert parse_matrix(write_matrix(m)) == m
+        assert np.array_equal(parse_matrix(write_matrix(m)).entries, m.entries)
 
     def test_matrix_is_immutable(self):
         m = DenseMatrix([[1.0, 0.0], [0.0, 1.0]])

@@ -330,7 +330,7 @@ class TestSweepAndCsv:
         spec = ModelSpec.homogeneous(5, 5, CONST1)
         batch = estimate_moments(spec, 10, 3)
         out = tmp_path / "det.csv"
-        write_csv(batch, str(out))
+        write_csv([summary_row(batch)], str(out))
         row = out.read_text().splitlines()[1].split(",")
         cols = CSV_HEADER.split(",")
         assert row[cols.index("var_ratio")] == "0"

@@ -13,7 +13,10 @@ import ast
 import hashlib
 from pathlib import Path
 
+import pytest
+
 import permlab
+from permlab.cli import main
 from permlab.core import DistributionSpec, ModelSpec
 from permlab.experiments import csv_text, estimate_moments, summary_row
 from permlab.model import TrialSeed, sample_constrained_matrix
@@ -40,6 +43,48 @@ def test_sample_bytes():
         "9bb9f28e37ae5bcf9fdeb5db070e15088d13240de0845bc54e6237a65dbc59fa")
     assert _sha256(y.entries.astype("<f8").tobytes()) == (
         "2d8004675f4fa175e1ea229e4214e5f100a6519161156b2ac161e8274850ceff")
+
+
+@pytest.mark.parametrize("algorithm", ["ryser", "naive"])
+def test_per_stdout(algorithm, tmp_path, capsys):
+    p = tmp_path / "m.txt"
+    p.write_text("1 2\n3 4\n")
+    assert main(["per", "--input", str(p), "--algorithm", algorithm]) == 0
+    assert capsys.readouterr().out == "per = 10.000000000000002  log_per = 2.3025850929940459\n"
+
+
+def test_per_stdout_beyond_double_range(tmp_path, capsys):
+    # 20! * 1e-400, printed from its log
+    p = tmp_path / "m.txt"
+    p.write_text("\n".join(" ".join(["1e-20"] * 20) for _ in range(20)) + "\n")
+    assert main(["per", "--input", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "per = 2.43290200818e-382  log_per = -878.69842073686493\n")
+
+
+def test_moments_stdout(capsys):
+    assert main(["moments", "--n", "12", "--r", "8", "--dist", "exp:1"]) == 0
+    assert capsys.readouterr().out == """\
+n = 12
+r_low = 8
+r_up = 8
+dist = exp:1
+nu = 1
+delta = 2
+mu_log = 15.121633198363906
+mu = 3691831.3671696102
+vdw_log = 15.121633198363909
+vdw = 3691831.3671696233
+alpha_up = 0.57221516965074848
+beta_up = 3.1428571428571428
+alpha_low = 0.57221516965074848
+beta_low = 3.1428571428571428
+bounds = unavailable (r_low >= 6*delta/nu^2 not met: r_low=8 < 12)
+exact_ratio = 4.8774205745272932
+a_n = 0.8660254037844386
+c_n = 1.5
+theta = 1.0093693705332192
+"""
 
 
 def test_perfbench_imports_are_exported():

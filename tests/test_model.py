@@ -283,7 +283,7 @@ class TestSampling:
         spec = ModelSpec(4, (2, 3, 1, 4), DistributionSpec.exponential(2.0))
         x1, y1 = sample_constrained_matrix(spec, TrialSeed(11, 7))
         x2, y2 = sample_constrained_matrix(spec, TrialSeed(11, 7))
-        assert x1 == x2 and y1 == y2
+        assert np.array_equal(x1.entries, x2.entries) and np.array_equal(y1.entries, y2.entries)
 
     def test_weights_strictly_positive_on_support(self):
         for dist in (

