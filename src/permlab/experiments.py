@@ -254,6 +254,7 @@ class SweepPlan:
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
         if self.trials < 2:
             raise ValueError("need at least 2 trials per sweep row")
+        TrialSeed(self.master_seed, 0)  # its seed rule, before any row runs
         _check_epsilon(self.epsilon)
         if len(set(self.ns)) != len(self.ns):
             raise ValueError(f"dimensions must be distinct, got {self.ns}")

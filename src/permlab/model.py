@@ -1,5 +1,5 @@
 """Sampling the row-constrained 0-1 matrix X, the weight matrix Z, and their
-termwise product Y, plus exhaustive enumeration of the constraint class.
+termwise product Y.
 
 Reproducibility contract: every trial's generator is
 ``PCG64(SeedSequence(master_seed, spawn_key=(trial_index,)))``, a pure
@@ -17,37 +17,28 @@ computes its trials' PCG64 (state, inc) from SeedSequence's published hash
 and PCG's seeding, a piece of trials at a time, and sets them in turn on one
 reused generator; the states are ``trial_rng``'s, so the streams are too.
 
-One sampler, ``_StackSampler``, draws every trial; a single trial is a
-stack of one on its ``trial_rng`` generator. The picks are
-``integers(lows, n)``'s stream. A stack of more than one trial reads them
-as raw 64-bit words, one ``random_raw`` call per trial, and applies numpy's
-32-bit Lemire rule to the whole stack; a trial with a rejected draw, and a
-stack of one, make the ``integers`` call itself. Tests pin this against
-numpy's own calls.
+One sampler, ``_StackSampler``, draws every trial, a single trial as a
+stack of one. The picks are ``integers(lows, n)``'s stream, read as raw
+64-bit words, one ``random_raw`` call per trial, with numpy's 32-bit Lemire
+rule applied to the whole stack; a trial with a rejected draw makes the
+``integers`` call itself. Tests pin this against numpy's own calls.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _FAMILIES, DenseMatrix, ModelSpec, SizeLimitError
+from .core import _FAMILIES, DenseMatrix, ModelSpec
 
 __all__ = [
     "TrialSeed",
     "trial_rng",
     "sample_row_support",
     "sample_constrained_matrix",
-    "enumerate_constraint_matrices",
-    "constraint_class_size",
-    "ENUMERATION_MAX_CLASS",
 ]
-
-ENUMERATION_MAX_CLASS = 10**7
 
 
 @dataclass(frozen=True)
@@ -270,61 +261,48 @@ def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, .
 
 class _StackSampler:
     """Draws the (X, W) stacks of trials given by their PCG64 state dicts,
-    setting each in turn on one generator: ``rng`` if given, else a fresh
-    one. Built once per span, so the spec's constants are too.
+    setting each in turn on one generator. Built once per span, so the
+    spec's constants are too.
 
-    A trial's picks are the stream of one ``integers(lows, n)`` call and its
-    W ``sample_standard``'s draw, made in place; a stack of one makes exactly
-    these calls. In a larger stack each trial makes one ``random_raw`` call
-    for its picks, then draws W: W's draws take whole words, so a half-word
-    the picks leave buffered does not move them. One ``_lemire_resolve`` over
-    the stack, with constants built on the first such stack, turns the words
-    into picks; a trial with a rejected draw is drawn again from its state by
-    the two calls. A stack of one may give its state as None, to draw on
-    ``rng`` as it stands.
+    Each trial makes one ``random_raw`` call for its picks, then draws W in
+    place by ``sample_standard``'s draw: W's draws take whole words, so a
+    half-word the picks leave buffered does not move them. One
+    ``_lemire_resolve`` over the stack turns the words into the picks of
+    ``integers(lows, n)``; a trial with a rejected draw is drawn again from
+    its state by that call and W's.
     """
 
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
+        self.rng = np.random.Generator(np.random.PCG64(0))
         self.lows = np.nonzero(_swap_mask(spec.r))[1]
+        self.rule = _lemire_rule(spec.n - self.lows)
+        # 32-bit draws, two to a word; only n = 1 has none
+        self.words = (np.count_nonzero(self.rule[1] > 1) + 1) // 2
         self.draw = functools.partial(_FAMILIES[spec.dist.kind].draw, spec.dist.params)
 
-    @functools.cached_property
-    def rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _lemire_rule(self.spec.n - self.lows)
-
-    @functools.cached_property
-    def words(self) -> int:
-        # 32-bit draws, two to a word; only n = 1 has none
-        return (np.count_nonzero(self.rule[1] > 1) + 1) // 2
-
-    def __call__(self, states: list[dict | None]) -> tuple[np.ndarray, np.ndarray]:
-        n, draw, rng = self.spec.n, self.draw, self.rng
+    def __call__(self, states: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+        n, words, draw, rng = self.spec.n, self.words, self.draw, self.rng
         bits, count = rng.bit_generator, len(states)
-        picks = np.empty((count, self.lows.size), dtype=np.int64)
+        # n = 1 draws no word: its one pick, of range 1, reads a zero as offset 0
+        raw = np.zeros((count, max(words, 1)), dtype=np.uint64)
         w = np.empty((count, n, n))
-        redraw = range(count)
-        if count > 1 and self.words:
-            raw = np.empty((count, self.words), dtype=np.uint64)
-            for t, state in enumerate(states):
-                bits.state = state
-                raw[t] = bits.random_raw(self.words)
-                draw(rng, w[t])
-            offsets, redraw = _lemire_resolve(raw, *self.rule)
-            picks = self.lows + offsets
+        for t, state in enumerate(states):
+            bits.state = state
+            raw[t, :words] = bits.random_raw(words)
+            draw(rng, w[t])
+        offsets, redraw = _lemire_resolve(raw, *self.rule)
+        picks = self.lows + offsets
         for t in redraw:
-            if states[t] is not None:
-                bits.state = states[t]
+            bits.state = states[t]
             picks[t] = rng.integers(self.lows, n)
             draw(rng, w[t])
         return _supports(picks, self.spec.r, n), w
 
 
 def _sample_trial(spec: ModelSpec, seed: TrialSeed) -> tuple[np.ndarray, np.ndarray]:
-    """The (X, W) stacks of one trial: a stack of one, drawn on the trial's
-    own ``trial_rng`` generator as it stands."""
-    return _StackSampler(spec, trial_rng(seed))([None])
+    """The (X, W) stacks of one trial: a stack of one in ``trial_rng``'s state."""
+    return _StackSampler(spec)([trial_rng(seed).bit_generator.state])
 
 
 def sample_constrained_matrix(
@@ -335,32 +313,3 @@ def sample_constrained_matrix(
     (x,), (w,) = _sample_trial(spec, seed)
     y = x * (spec.dist.scale * w)
     return DenseMatrix(x), DenseMatrix(y)
-
-
-def constraint_class_size(spec: ModelSpec) -> int:
-    """Number of matrices in the constraint class, prod_i C(n, r_i)."""
-    size = 1
-    for ri in spec.r:
-        size *= math.comb(spec.n, ri)
-    return size
-
-
-def enumerate_constraint_matrices(spec: ModelSpec):
-    """Yield every 0-1 matrix with the given row counts exactly once.
-
-    Lexicographic product of per-row support combinations. Guarded by the
-    total class size.
-    """
-    size = constraint_class_size(spec)
-    if size > ENUMERATION_MAX_CLASS:
-        raise SizeLimitError(
-            f"constraint class has {size} matrices, over the "
-            f"{ENUMERATION_MAX_CLASS} enumeration guard"
-        )
-    n = spec.n
-    per_row = [itertools.combinations(range(n), ri) for ri in spec.r]
-    for supports in itertools.product(*per_row):
-        x = np.zeros((n, n))
-        for i, supp in enumerate(supports):
-            x[i, list(supp)] = 1.0
-        yield DenseMatrix(x)

@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import DomainError, ModelSpec, ScaledValue, SizeLimitError
-from .model import constraint_class_size, ENUMERATION_MAX_CLASS
 
 __all__ = [
     "mu_n",
@@ -29,16 +28,19 @@ __all__ = [
     "pair_moment",
     "brute_second_moment_pairs",
     "exact_moments_enumerate",
+    "constraint_class_size",
     "ConditionCheck",
     "condition_check",
     "MomentReport",
     "moment_report",
     "PAIRS_MAX_N",
     "ENUMERATE_MAX_N",
+    "ENUMERATION_MAX_CLASS",
 ]
 
 PAIRS_MAX_N = 7
 ENUMERATE_MAX_N = 6
+ENUMERATION_MAX_CLASS = 10**7
 
 
 def mu_n(spec: ModelSpec) -> ScaledValue:
@@ -231,10 +233,10 @@ def _exact_ratio(spec: ModelSpec) -> float:
 
 
 @functools.cache
-def _enumeration_invariants(n: int, r: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+def _enumeration_invariants(n: int, r: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Exact integer aggregates over the whole constraint class:
 
-    returns (class size, sum over X of per(X), hist) where hist[k] counts
+    returns (sum over X of per(X), hist) where hist[k] counts
     triples (X, s1, s2) with both permutations compatible with X and
     agreeing on exactly k rows. Everything downstream (any entry law) is a
     weighted sum of these integers.
@@ -261,10 +263,6 @@ def _enumeration_invariants(n: int, r: tuple[int, ...]) -> tuple[int, int, tuple
                     mask |= 1 << bit
             masks.append(mask)
         row_masks.append(masks)
-
-    class_size = 1
-    for ri in r:
-        class_size *= math.comb(n, ri)
 
     per_sum = 0
     hist = [0] * (n + 1)
@@ -299,7 +297,15 @@ def _enumeration_invariants(n: int, r: tuple[int, ...]) -> tuple[int, int, tuple
             nm = mask & m
             if nm:
                 stack.append((depth + 1, nm))
-    return class_size, per_sum, tuple(hist)
+    return per_sum, tuple(hist)
+
+
+def constraint_class_size(spec: ModelSpec) -> int:
+    """Number of matrices in the constraint class, prod_i C(n, r_i)."""
+    size = 1
+    for ri in spec.r:
+        size *= math.comb(spec.n, ri)
+    return size
 
 
 def exact_moments_enumerate(spec: ModelSpec) -> tuple[float, float]:
@@ -322,12 +328,12 @@ def exact_moments_enumerate(spec: ModelSpec) -> tuple[float, float]:
             f"constraint class has {size} matrices, over the "
             f"{ENUMERATION_MAX_CLASS} enumeration guard"
         )
-    class_size, per_sum, hist = _enumeration_invariants(n, tuple(sorted(spec.r)))
+    per_sum, hist = _enumeration_invariants(n, tuple(sorted(spec.r)))
     nu = spec.dist.nu
     q = spec.dist.delta_over_nu2
-    mean = nu**n * per_sum / class_size
+    mean = nu**n * per_sum / size
     second = (
-        math.fsum(hist[k] * q**k for k in range(n + 1)) * nu ** (2 * n) / class_size
+        math.fsum(hist[k] * q**k for k in range(n + 1)) * nu ** (2 * n) / size
     )
     return mean, second
 
@@ -344,13 +350,13 @@ def condition_check(spec: ModelSpec) -> ConditionCheck:
         a_n = sqrt(n) * delta / (nu^2 r_low)
         c_n = n * (delta / (nu^2 r_low) - 1/r_up)
 
-    Concentration of T/mu holds along a spec sequence iff both tend to
-    zero; this reports the finite-n values only. c_n is reported signed
-    rather than in absolute value; since delta >= nu^2 and r_low <= r_up it
-    is in fact always nonnegative. For homogeneous specs with r >= 2, theta is
-    (1 - 1/r) e^{1/(r-1)}, the per-dimension growth factor of the exact
-    second-moment ratio; theta > 1 for fixed r means the ratio grows
-    exponentially in n.
+    The paper's sufficient condition for concentration of T/mu along a
+    spec sequence is that both tend to zero; this reports the finite-n
+    values only. c_n is reported signed rather than in absolute value;
+    since delta >= nu^2 and r_low <= r_up it is in fact always nonnegative.
+    For homogeneous specs with r >= 2, theta is (1 - 1/r) e^{1/(r-1)}, the
+    per-dimension growth factor of the exact second-moment ratio; theta > 1
+    for fixed r means the ratio grows exponentially in n.
     """
     q = spec.dist.delta_over_nu2
     a_n = math.sqrt(spec.n) * q / spec.r_low

@@ -1,18 +1,23 @@
 """Reference forms of the trial draw, kept as oracles for
-``permlab.model``'s sampler and span seeding.
+``permlab.model``'s sampler and span seeding, and the exhaustive list of
+the constraint class it samples from.
 
 ``_sample_standard_realizations`` draws trial by trial on the trials' own
 generators: one ``integers(lows, n)`` call for the Fisher-Yates picks, then
 W. ``_StackSampler``'s stacks, read from raw words, must equal it bit for
 bit. ``_span_rngs`` hands out a span's generators in the states
 ``_span_states`` derives, so tests can draw from them as from
-``trial_rng``'s.
+``trial_rng``'s. ``enumerate_constraint_matrices`` yields every matrix a
+trial's X can be, for the exhaustive checks of the moment oracles.
 """
+
+import itertools
 
 import numpy as np
 
 from permlab import model
-from permlab.core import ModelSpec
+from permlab.core import DenseMatrix, ModelSpec, SizeLimitError
+from permlab.moments import ENUMERATION_MAX_CLASS, constraint_class_size
 
 
 def _sample_standard_realizations(
@@ -45,3 +50,24 @@ def _span_rngs(master_seed: int, start: int, stop: int):
     for state in model._span_states(master_seed, start, stop):
         rng.bit_generator.state = state
         yield rng
+
+
+def enumerate_constraint_matrices(spec: ModelSpec):
+    """Yield every 0-1 matrix with the given row counts exactly once.
+
+    Lexicographic product of per-row support combinations. Guarded by the
+    total class size.
+    """
+    size = constraint_class_size(spec)
+    if size > ENUMERATION_MAX_CLASS:
+        raise SizeLimitError(
+            f"constraint class has {size} matrices, over the "
+            f"{ENUMERATION_MAX_CLASS} enumeration guard"
+        )
+    n = spec.n
+    per_row = [itertools.combinations(range(n), ri) for ri in spec.r]
+    for supports in itertools.product(*per_row):
+        x = np.zeros((n, n))
+        for i, supp in enumerate(supports):
+            x[i, list(supp)] = 1.0
+        yield DenseMatrix(x)

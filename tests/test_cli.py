@@ -239,6 +239,16 @@ class TestMcSweep:
         assert r.returncode == 2 and r.stdout == ""
         assert "master_seed must be a 64-bit nonnegative integer" in r.stderr
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_sweep_seed_outside_64_bits_exit_2(self, seed, capsys):
+        # refused by the plan, before any row's seed is derived from it
+        args = ["sweep", "--n", "3", "--r-rule", "const:2", "--dist", "const:1",
+                "--trials", "10", "--seed", seed, "--workers", "1"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "master_seed must be a 64-bit nonnegative integer" in err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exit_2(self, workers, monkeypatch, capsys):
         args = ["mc", "--n", "3", "--r", "2", "--trials", "10"]

@@ -18,7 +18,7 @@ import pytest
 import permlab
 from permlab.cli import main
 from permlab.core import DistributionSpec, ModelSpec
-from permlab.experiments import csv_text, estimate_moments, summary_row
+from permlab.experiments import SweepPlan, concentration_sweep, csv_text, estimate_moments, summary_row
 from permlab.model import TrialSeed, sample_constrained_matrix
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,6 +43,25 @@ def test_sample_bytes():
         "9bb9f28e37ae5bcf9fdeb5db070e15088d13240de0845bc54e6237a65dbc59fa")
     assert _sha256(y.entries.astype("<f8").tobytes()) == (
         "2d8004675f4fa175e1ea229e4214e5f100a6519161156b2ac161e8274850ceff")
+
+
+def test_sweep_csv_bytes_across_stack_sizes():
+    # `permlab sweep --n 13,14,15 --r-rule power:0.75 --dist lognormal:0,1
+    # --trials 8 --seed 5` prints this; n = 13 samples trials in stacks of
+    # two, n = 14 and 15 in stacks of one
+    plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
+    assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == (
+        "101914e6c9ae2b7208ae06febc136acf5adb3cb377d59f8a79301fc59d9f3831")
+
+
+def test_sample_bytes_half_full_rows():
+    # `permlab sample --n 16 --r 8 --dist exp:1 --seed 3 --trial 11`
+    spec = ModelSpec.homogeneous(16, 8, DistributionSpec.exponential(1.0))
+    x, y = sample_constrained_matrix(spec, TrialSeed(3, 11))
+    assert _sha256(x.entries.astype("<f8").tobytes()) == (
+        "29b0c5ae4d1210fe8d9b1162f4b54e07a544486a32563b6ef83e03738c04e32d")
+    assert _sha256(y.entries.astype("<f8").tobytes()) == (
+        "0173739ae55dc6c316a28fa4c2340775620de6a14c2997f65b28cfaa9d5fcc52")
 
 
 @pytest.mark.parametrize("algorithm", ["ryser", "naive"])

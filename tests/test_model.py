@@ -14,13 +14,12 @@ from permlab.model import (
     _lemire_rule,
     _span_states,
     _StackSampler,
-    constraint_class_size,
-    enumerate_constraint_matrices,
     sample_constrained_matrix,
     sample_row_support,
     trial_rng,
 )
-from sampler_reference import _sample_standard_realizations, _span_rngs
+from permlab.moments import constraint_class_size
+from sampler_reference import _sample_standard_realizations, _span_rngs, enumerate_constraint_matrices
 
 CONST1 = DistributionSpec.constant(1)
 
@@ -182,9 +181,10 @@ class TestSupportStream:
 
 
 class TestRawPicks:
-    """A stack reads its picks from raw PCG64 words and resolves them by
-    numpy's 32-bit Lemire rule; the picks and W must be those of the
-    reference ``integers(lows, n)`` and ``sample_standard`` calls."""
+    """A stack, of one trial or more, reads its picks from raw PCG64 words
+    and resolves them by numpy's 32-bit Lemire rule; the picks and W must
+    be those of the reference ``integers(lows, n)`` and ``sample_standard``
+    calls."""
 
     LAWS = TestSpanStates.LAWS
 
@@ -199,15 +199,17 @@ class TestRawPicks:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stack_picks_equal_integers(self, seed, monkeypatch):
         # n = 1 draws nothing, r = n leaves each row's last swap undrawn,
-        # and an odd number of draws leaves a half-word buffered before W
+        # and an odd number of draws leaves a half-word buffered before W;
+        # a stack of three, and a stack of one
         exp2 = DistributionSpec.exponential(2.0)
         states = list(_span_states(seed, 0, 3))
-        for n in range(1, 41):
-            for r in range(1, n + 1):
-                spec = ModelSpec(n, (r,) * n, exp2)
-                (got_picks, got_w), (picks, w) = self._picks_and_w(monkeypatch, spec, states)
-                assert np.array_equal(got_picks, picks), (n, r)
-                assert np.array_equal(got_w, w), (n, r)
+        for stack in (states, states[:1]):
+            for n in range(1, 41):
+                for r in range(1, n + 1):
+                    spec = ModelSpec(n, (r,) * n, exp2)
+                    (got_picks, got_w), (picks, w) = self._picks_and_w(monkeypatch, spec, stack)
+                    assert np.array_equal(got_picks, picks), (len(stack), n, r)
+                    assert np.array_equal(got_w, w), (len(stack), n, r)
 
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
     def test_rejected_draw_is_redrawn(self, dist, monkeypatch):
@@ -229,9 +231,11 @@ class TestRawPicks:
         assert list(_lemire_resolve(raw[None], *sampler.rule)[1]) == [0]
         states = list(_span_states(9, 1, 3))
         states.insert(1, state)
-        (got_picks, got_w), (picks, w) = self._picks_and_w(monkeypatch, spec, states)
-        assert np.array_equal(got_picks, picks)
-        assert np.array_equal(got_w, w)
+        # in a stack of three, and alone
+        for stack in (states, [state]):
+            (got_picks, got_w), (picks, w) = self._picks_and_w(monkeypatch, spec, stack)
+            assert np.array_equal(got_picks, picks), len(stack)
+            assert np.array_equal(got_w, w), len(stack)
 
     def test_resolve_equals_integers_at_wide_ranges(self):
         # the rule's largest ranges, one draw per range from the same words;

@@ -345,7 +345,7 @@ class TestEnumerationOracle:
 
     def test_matches_direct_matrix_enumeration(self):
         # independent slow path: permanents of every matrix in the class
-        from permlab.model import enumerate_constraint_matrices
+        from sampler_reference import enumerate_constraint_matrices
         from permlab.permanent import per_naive
 
         spec = ModelSpec(3, (2, 2, 2), CONST1)
