@@ -9,7 +9,6 @@ order, so output is identical for any worker count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import astuple, dataclass, fields
@@ -17,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .core import DistributionSpec, ModelSpec
-from .model import TrialSeed, _sample_trial, _span_states, _StackSampler
+from .model import TrialSeed, _sample_trial, _span_words, _StackSampler
 from .moments import moment_report
 from .permanent import _glynn_logs, _pass_shape
 
@@ -99,15 +98,16 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
 
 
 def _run_range(spec: ModelSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """Ratios of trials start..stop-1, in stacks of ``_pass_shape(n)[0]``;
-    the span's generator states and its sampler are made once, for all its
-    stacks, and each stack's ratios are written into one array."""
-    states = _span_states(master_seed, start, stop)
+    """Ratios of trials start..stop-1, in stacks of ``_pass_shape(n)[0]`` cut
+    within each seed piece (a ratio depends on neither), by one sampler and
+    written into one array."""
     sample = _StackSampler(spec)
     step = _pass_shape(spec.n)[0]
-    ratios = np.empty(stop - start)
-    for a in range(0, stop - start, step):
-        ratios[a:a + step] = _trial_ratios(spec, *sample(list(itertools.islice(states, step))))
+    ratios, a = np.empty(stop - start), 0
+    for piece in _span_words(master_seed, start, stop):
+        out, a = ratios[a:a + len(piece)], a + len(piece)
+        for i in range(0, len(piece), step):
+            out[i:i + step] = _trial_ratios(spec, *sample(piece[i:i + step]))
     return ratios
 
 
@@ -135,6 +135,8 @@ class TrialBatch:
         object.__setattr__(self, "ratios", arr)
         if self.trials < 2:
             raise ValueError("need at least 2 trials for variance estimates")
+        _check_epsilon(self.epsilon)
+        TrialSeed(self.master_seed, self.trials - 1)  # its seed rule
 
     @property
     def mean_ratio(self) -> float:
@@ -163,8 +165,9 @@ class TrialBatch:
 
     def p_dev(self, epsilon: float | None = None) -> float:
         """Empirical P(|T/mu - 1| > epsilon)."""
-        eps = self.epsilon if epsilon is None else epsilon
-        return float(np.mean(np.abs(self.ratios - 1.0) > eps))
+        epsilon = self.epsilon if epsilon is None else epsilon
+        _check_epsilon(epsilon)
+        return float(np.mean(np.abs(self.ratios - 1.0) > epsilon))
 
 
 def _resolve_workers(workers: int | None) -> int:

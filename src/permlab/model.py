@@ -13,9 +13,9 @@ swap. Reproducibility is across runs on the same build; changing generator
 or draw order is a breaking change.
 
 ``trial_rng`` builds that generator for one trial. A span of trials instead
-computes its trials' PCG64 (state, inc) from SeedSequence's published hash
-and PCG's seeding, a piece of trials at a time, and sets them in turn on one
-reused generator; the states are ``trial_rng``'s, so the streams are too.
+derives a piece of trials' PCG64 (state, inc) at a time as uint64 words, by
+SeedSequence's published hash and PCG's seeding in numpy, and writes each in
+turn into one generator; the states are ``trial_rng``'s, so the streams are too.
 
 One sampler, ``_StackSampler``, draws every trial, a single trial as a
 stack of one. The picks are ``integers(lows, n)``'s stream, read as raw
@@ -26,6 +26,7 @@ rule applied to the whole stack; a trial with a rejected draw makes the
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -73,7 +74,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 # PCG's default 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_M32, _M64 = 2**32 - 1, 2**64 - 1
 # Trials hashed per vectorized pass: large enough to spread the pass's fixed
 # cost (about 300 us), small enough that a span's seeding memory is bounded.
 _SEED_PIECE = 4096
@@ -152,23 +153,76 @@ def _seed_words(master_seed: int, start: int, stop: int):
         a = b
 
 
-def _pcg64_state(words: list[int]) -> dict:
-    """PCG64's state for four ``generate_state`` words: PCG's srandom, which
-    sets inc = 2 * seq + 1, steps from 0, adds the seed and steps again."""
-    seed, seq = words[0] << 64 | words[1], words[2] << 64 | words[3]
-    inc = (seq << 1 | 1) & _M128
-    state = ((inc + seed) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+def _pcg64_words(piece: np.ndarray) -> np.ndarray:
+    """PCG64's struct words [state_lo, state_hi, inc_lo, inc_hi] for rows of
+    ``generate_state`` words [seed_hi, seed_lo, seq_hi, seq_lo], by PCG's
+    srandom, inc = 2 * seq + 1 and state = (inc + seed) * M + inc mod 2^128,
+    in 64-bit limbs; t_lo * M_lo's high half is built from 32-bit halves."""
+    seed_hi, seed_lo, seq_hi, seq_lo = piece.T
+    m_lo, m_hi = _PCG_MULT & _M64, _PCG_MULT >> 64
+    inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
+    t_lo = inc_lo + seed_lo
+    t_hi = inc_hi + seed_hi + (t_lo < inc_lo)
+    a0, a1, b0, b1 = t_lo & _M32, t_lo >> 32, m_lo & _M32, m_lo >> 32
+    mid = (a0 * b0 >> 32) + (a1 * b0 & _M32) + a0 * b1
+    high = a1 * b1 + (a1 * b0 >> 32) + (mid >> 32)
+    state_lo = t_lo * m_lo + inc_lo
+    state_hi = high + t_lo * m_hi + t_hi * m_lo + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_dict(words) -> dict:
+    """The PCG64 state dict of struct words [state_lo, state_hi, inc_lo, inc_hi]."""
+    state_lo, state_hi, inc_lo, inc_hi = map(int, words)
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
+
+
+def _struct_words(state: dict) -> list[int]:
+    """``_state_dict``'s inverse."""
+    state, inc = state["state"]["state"], state["state"]["inc"]
+    return [state & _M64, state >> 64, inc & _M64, inc >> 64]
+
+
+def _span_words(master_seed: int, start: int, stop: int):
+    """The struct words of ``trial_rng``'s states for trials start..stop-1,
+    hashed a piece at a time (``_seed_words``), so memory does not grow."""
+    return map(_pcg64_words, _seed_words(master_seed, start, stop))
 
 
 def _span_states(master_seed: int, start: int, stop: int):
-    """The PCG64 state dicts ``trial_rng`` gives trials start..stop-1, in
-    turn. The span is hashed one piece at a time, so its memory does not
-    grow with its length."""
-    for piece in _seed_words(master_seed, start, stop):
-        for words in piece.tolist():
-            yield _pcg64_state(words)
+    """The PCG64 state dicts of ``_span_words``' trials, in turn."""
+    return (_state_dict(w) for piece in _span_words(master_seed, start, stop) for w in piece)
+
+
+def _state_view(bits: np.random.PCG64) -> np.ndarray:
+    """A writable view of ``bits``' (state, inc) block, valid while ``bits``
+    lives: the first field of the struct at ``ctypes.state_address``."""
+    block = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(block), dtype=np.uint64)
+
+
+@functools.cache
+def _view_holds_state() -> bool:
+    """Whether ``_state_view`` reads and writes the struct words on this
+    build; one with emulated 128-bit integers stores high halves first."""
+    bits = np.random.PCG64(0)
+    view, known = _state_view(bits), np.array([1, 2, 3, 5], dtype=np.uint64)
+    bits.state = _state_dict(known)
+    read = np.array_equal(view, known)
+    view[:] = known[::-1]
+    return read and bits.state == _state_dict(known[::-1])
+
+
+@dataclass
+class _DictState:
+    """``_state_view``'s stand-in where it fails the probe: a write sets the
+    words' state dict, so the streams are the same, only slower."""
+
+    bits: np.random.PCG64
+
+    def __setitem__(self, _, words) -> None:
+        self.bits.state = _state_dict(words)
 
 
 def _lemire_rule(ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,41 +314,48 @@ def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, .
 
 
 class _StackSampler:
-    """Draws the (X, W) stacks of trials given by their PCG64 state dicts,
-    setting each in turn on one generator. Built once per span, so the
-    spec's constants are too.
+    """Draws the (X, W) stacks of trials given by their PCG64 states, as
+    (trials, 4) struct words or state dicts, writing each trial's words into
+    one generator's (state, inc) block. Built once per span, so the spec's
+    constants are too.
 
     Each trial makes one ``random_raw`` call for its picks, then draws W in
-    place by ``sample_standard``'s draw: W's draws take whole words, so a
-    half-word the picks leave buffered does not move them. One
-    ``_lemire_resolve`` over the stack turns the words into the picks of
-    ``integers(lows, n)``; a trial with a rejected draw is drawn again from
-    its state by that call and W's.
+    place by ``sample_standard``'s draw. Both take whole 64-bit words under
+    every law, so neither reads the buffered half-word flag, which the write
+    leaves as it was. One ``_lemire_resolve`` over the stack turns the words
+    into the picks of ``integers(lows, n)``; a trial with a rejected draw is
+    drawn again by that call and W's, its state set by the dict setter
+    (which clears the flag); W's draws skip a half-word ``integers`` leaves.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
+        # the block's view points into this generator, which self.rng keeps alive
         self.rng = np.random.Generator(np.random.PCG64(0))
+        bits = self.rng.bit_generator
+        self.block = _state_view(bits) if _view_holds_state() else _DictState(bits)
         self.lows = np.nonzero(_swap_mask(spec.r))[1]
         self.rule = _lemire_rule(spec.n - self.lows)
         # 32-bit draws, two to a word; only n = 1 has none
         self.words = (np.count_nonzero(self.rule[1] > 1) + 1) // 2
         self.draw = functools.partial(_FAMILIES[spec.dist.kind].draw, spec.dist.params)
 
-    def __call__(self, states: list[dict]) -> tuple[np.ndarray, np.ndarray]:
-        n, words, draw, rng = self.spec.n, self.words, self.draw, self.rng
+    def __call__(self, states) -> tuple[np.ndarray, np.ndarray]:
+        if not isinstance(states, np.ndarray):
+            states = np.array([_struct_words(s) for s in states], dtype=np.uint64)
+        n, words, draw, rng, block = self.spec.n, self.words, self.draw, self.rng, self.block
         bits, count = rng.bit_generator, len(states)
         # n = 1 draws no word: its one pick, of range 1, reads a zero as offset 0
         raw = np.zeros((count, max(words, 1)), dtype=np.uint64)
         w = np.empty((count, n, n))
         for t, state in enumerate(states):
-            bits.state = state
+            block[:] = state
             raw[t, :words] = bits.random_raw(words)
             draw(rng, w[t])
         offsets, redraw = _lemire_resolve(raw, *self.rule)
         picks = self.lows + offsets
         for t in redraw:
-            bits.state = states[t]
+            bits.state = _state_dict(states[t])
             picks[t] = rng.integers(self.lows, n)
             draw(rng, w[t])
         return _supports(picks, self.spec.r, n), w

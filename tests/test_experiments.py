@@ -110,6 +110,19 @@ class TestTrialBatch:
         assert batch.p_dev() == pytest.approx(0.5)
         assert batch.p_dev(2.0) == 0.0
 
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_epsilon_is_refused(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            TrialBatch(SPEC3, 0, 4, epsilon, np.ones(4))
+        batch = TrialBatch(SPEC3, 0, 4, 0.1, np.ones(4))
+        with pytest.raises(ValueError, match="epsilon"):
+            batch.p_dev(epsilon)
+
+    @pytest.mark.parametrize("master_seed", [-3, 2**64])
+    def test_bad_master_seed_is_refused(self, master_seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            TrialBatch(SPEC3, master_seed, 4, 0.1, np.ones(4))
+
     def test_jackknife_matches_direct_leave_one_out(self):
         rng = np.random.default_rng(4)
         x = rng.exponential(size=60)

@@ -35,6 +35,15 @@ def test_mc_csv_bytes():
         "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27")
 
 
+def test_mc_csv_bytes_across_seed_pieces():
+    # `permlab mc --n 5 --r 2 --dist lognormal:0,1 --trials 9000 --seed 23`
+    # prints this; the span crosses two seed pieces and many trial stacks,
+    # and W takes the normal ziggurat
+    batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec.lognormal(0.0, 1.0)), 9000, 23)
+    assert _sha256(csv_text([summary_row(batch)]).encode()) == (
+        "b8082b33869fb38b1f20174bd0ad82e340304523fbca736a69f7ebef30323677")
+
+
 def test_sample_bytes():
     # `permlab sample --n 5 --r 2,3,2,4,5 --dist lognormal:0,1 --seed 77`
     spec = ModelSpec(5, (2, 3, 2, 4, 5), DistributionSpec.lognormal(0.0, 1.0))

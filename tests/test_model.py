@@ -77,6 +77,45 @@ class TestSpanStates:
                     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class _CraftedSeedSequence(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 four chosen ``generate_state`` words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return self.words.copy()
+
+
+class TestPcg64Words:
+    """The numpy-array srandom equals PCG64's own seeding, at its carries.
+    Rows are (seed_hi, seed_lo, seq_hi, seq_lo); inc = 2 * seq + 1."""
+
+    M64 = 2**64 - 1
+    ROWS = {
+        "zeros": [0, 0, 0, 0],
+        "ones": [M64] * 4,
+        # seq_lo's bit 63 carries into inc_hi
+        "seq bit 63": [5, 9, 3, 2**63 | 7],
+        # inc = 2^128 - 1, so seed + inc overflows 2^128, and its low words carry
+        "seed + inc past 2^128": [0, 2, 2**63 - 1, M64],
+        "seed_lo + inc_lo carries alone": [1, M64, 0, 1],
+    }
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_crafted_words_equal_pcg64(self, name):
+        words = self.ROWS[name]
+        got = model._pcg64_words(np.array([words], dtype=np.uint64))
+        assert model._state_dict(got[0]) == np.random.PCG64(_CraftedSeedSequence(words)).state
+
+    def test_random_words_equal_pcg64(self):
+        rows = np.random.default_rng(17).integers(0, 2**64, (200, 4), dtype=np.uint64)
+        got = model._pcg64_words(rows)
+        for words, row in zip(rows, got):
+            assert model._state_dict(row) == np.random.PCG64(_CraftedSeedSequence(words)).state
+
+
 class TestRowSupport:
     def test_full_row(self):
         rng = trial_rng(TrialSeed(0, 0))
@@ -258,6 +297,58 @@ class TestRawPicks:
         with pytest.raises(ValueError):
             _lemire_rule([5, bad])
         _lemire_rule([1, 5, 2**32 - 2])
+
+
+class TestStateView:
+    """Trial states written as words into the generator's (state, inc)
+    block, or, where the layout probe fails, through the dict setter."""
+
+    LAWS = TestSpanStates.LAWS
+
+    def test_view_write_reads_back_as_dict_setter(self):
+        viewed, set_by_dict = np.random.PCG64(0), np.random.PCG64(0)
+        view = model._state_view(viewed)
+        crafted = np.array([[0, 0, 1, 0], [2**64 - 1] * 4, [1, 2**63, 2**63 + 1, 3]], dtype=np.uint64)
+        for row in np.vstack([next(model._span_words(5, 0, 40)), crafted]):
+            view[:] = row
+            set_by_dict.state = model._state_dict(row)
+            assert viewed.state == set_by_dict.state
+            assert np.array_equal(viewed.random_raw(3), set_by_dict.random_raw(3))
+
+    def test_probe_refuses_high_first_layout(self, monkeypatch):
+        # a build with emulated 128-bit integers stores each high half first
+        view = model._state_view
+        monkeypatch.setattr(model, "_state_view", lambda bits: view(bits)[[1, 0, 3, 2]])
+        assert not model._view_holds_state.__wrapped__()
+        monkeypatch.undo()
+        assert model._view_holds_state.__wrapped__()
+
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_dict_setter_path_equals_view_path(self, dist, monkeypatch):
+        # an ordinary state, one whose first raw word is 0 (rejected for the
+        # range 6, as in TestRawPicks), and another ordinary one
+        ordinary = list(_span_states(9, 1, 3))
+        inc = ordinary[0]["state"]["inc"]
+        x = 0x0123456789ABCDEF
+        crafted = ((x << 64 | x) - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+        states = [ordinary[0], {"bit_generator": "PCG64", "state": {"state": crafted, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}, ordinary[1]]
+        words = np.array([model._struct_words(s) for s in states], dtype=np.uint64)
+        spec = ModelSpec(6, (3, 6, 1, 4, 2, 5), dist)
+        sampler = _StackSampler(spec)
+        assert isinstance(sampler.block, np.ndarray)
+        bits = np.random.PCG64(0)
+        bits.state = states[1]
+        assert list(_lemire_resolve(bits.random_raw(sampler.words)[None], *sampler.rule)[1]) == [0]
+        by_view = sampler(words)
+        monkeypatch.setattr(model, "_view_holds_state", lambda: False)
+        sampler = _StackSampler(spec)
+        assert isinstance(sampler.block, model._DictState)
+        by_dict = sampler(words)
+        want = _sample_standard_realizations(spec, _in_states(states), len(states))
+        for got in (by_view, by_dict):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 def _in_states(states):
