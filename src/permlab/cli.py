@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     DistributionSpec,
-    DomainError,
     ModelSpec,
     ParseError,
     PermlabError,
@@ -37,7 +36,6 @@ from .experiments import (
     estimate_moments,
     concentration_sweep,
     summary_row,
-    write_csv,
 )
 from .model import TrialSeed, sample_constrained_matrix
 from .moments import moment_report
@@ -132,6 +130,15 @@ def _build_spec(args: argparse.Namespace) -> ModelSpec:
     return ModelSpec(args.n, r, dist)
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write a command's output to the ``--out`` file, or to stdout without one."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -169,12 +176,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     _echo_config(args)
     x, y = sample_constrained_matrix(spec, TrialSeed(args.seed, args.trial))
-    text = write_matrix(x if args.matrix == "x" else y)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_matrix(x if args.matrix == "x" else y), args.out)
     return 0
 
 
@@ -222,7 +224,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     batch = estimate_moments(
         spec, args.trials, args.seed, workers=args.workers, epsilon=args.epsilon
     )
-    _write_rows([summary_row(batch)], args.out)
+    _emit(csv_text([summary_row(batch)]), args.out)
     return 0
 
 
@@ -241,16 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
     )
     _echo_config(args)
-    rows = concentration_sweep(plan, workers=args.workers)
-    _write_rows(rows, args.out)
+    _emit(csv_text(concentration_sweep(plan, workers=args.workers)), args.out)
     return 0
-
-
-def _write_rows(rows, out: str | None) -> None:
-    if out:
-        write_csv(rows, out)
-    else:
-        sys.stdout.write(csv_text(rows))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -339,9 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

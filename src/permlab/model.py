@@ -13,9 +13,9 @@ swap. Reproducibility is across runs on the same build; changing generator
 or draw order is a breaking change.
 
 ``trial_rng`` builds that generator for one trial. A span of trials instead
-derives a piece of trials' PCG64 (state, inc) at a time as uint64 words, by
-SeedSequence's published hash and PCG's seeding in numpy, and writes each in
-turn into one generator; the states are ``trial_rng``'s, so the streams are too.
+derives a piece of trials' PCG64 (state, inc) at a time as uint64 words in
+one numpy stage, SeedSequence's published hash then PCG's seeding, and writes
+each into one generator; the states are ``trial_rng``'s, so the streams are too.
 
 One sampler, ``_StackSampler``, draws every trial, a single trial as a
 stack of one. The picks are ``integers(lows, n)``'s stream, read as raw
@@ -129,30 +129,6 @@ def _hashed_state(entropy: list[np.ndarray]) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _seed_words(master_seed: int, start: int, stop: int):
-    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64)``
-    for i in start..stop-1, yielded as (trials, 4) uint64 arrays of at most
-    ``_SEED_PIECE`` trials each.
-
-    A spawn key pads the master's words to the pool size; the index's words
-    follow. An index has one word below 2^32, and its words above the low
-    64 bits only change at multiples of 2^64, so pieces are also cut there,
-    each piece one vectorized pass.
-    """
-    run = _words32(master_seed)
-    run += [0] * (_POOL - len(run))
-    a = start
-    while a < stop:
-        b = min(stop, a + _SEED_PIECE, 2**32 if a < 2**32 else ((a >> 64) + 1) << 64)
-        low = np.uint64(a & _M64) + np.arange(b - a, dtype=np.uint64)
-        index = [low & _M32] if a < 2**32 else [low & _M32, low >> 32]
-        high = _words32(a >> 64) if a >> 64 else []
-        fixed = [np.full(b - a, w, dtype=np.uint32) for w in run + high]
-        entropy = fixed[:_POOL] + [w.astype(np.uint32) for w in index] + fixed[_POOL:]
-        yield _hashed_state(entropy)
-        a = b
-
-
 def _pcg64_words(piece: np.ndarray) -> np.ndarray:
     """PCG64's struct words [state_lo, state_hi, inc_lo, inc_hi] for rows of
     ``generate_state`` words [seed_hi, seed_lo, seq_hi, seq_lo], by PCG's
@@ -186,8 +162,25 @@ def _struct_words(state: dict) -> list[int]:
 
 def _span_words(master_seed: int, start: int, stop: int):
     """The struct words of ``trial_rng``'s states for trials start..stop-1,
-    hashed a piece at a time (``_seed_words``), so memory does not grow."""
-    return map(_pcg64_words, _seed_words(master_seed, start, stop))
+    as (trials, 4) uint64 arrays of at most ``_SEED_PIECE`` trials, each
+    piece hashed and seeded in one vectorized pass, so memory does not grow.
+
+    A spawn key pads the master's words to the pool size; the index's words
+    follow. An index has one word below 2^32, and its words above the low
+    64 bits only change at multiples of 2^64, so pieces are also cut there.
+    """
+    run = _words32(master_seed)
+    run += [0] * (_POOL - len(run))
+    a = start
+    while a < stop:
+        b = min(stop, a + _SEED_PIECE, 2**32 if a < 2**32 else ((a >> 64) + 1) << 64)
+        low = np.uint64(a & _M64) + np.arange(b - a, dtype=np.uint64)
+        index = [low & _M32] if a < 2**32 else [low & _M32, low >> 32]
+        high = _words32(a >> 64) if a >> 64 else []
+        fixed = [np.full(b - a, w, dtype=np.uint32) for w in run + high]
+        entropy = fixed[:_POOL] + [w.astype(np.uint32) for w in index] + fixed[_POOL:]
+        yield _pcg64_words(_hashed_state(entropy))
+        a = b
 
 
 def _span_states(master_seed: int, start: int, stop: int):

@@ -115,8 +115,6 @@ def second_moment_bounds(spec: ModelSpec) -> tuple[float, float]:
         raise DomainError(
             f"r_low >= 6*delta/nu^2 not met: r_low={spec.r_low} < {threshold:.17g}"
         )
-    if spec.n < 2:
-        raise DomainError(f"bounds need n >= 2, got n={spec.n}")
     ab = alpha_beta(spec)
     slack = 2.0 * math.e / spec.n**2
     lower = math.exp(math.log(ab.alpha_low) + ab.beta_low - 1.0) * (1.0 - slack)
@@ -247,10 +245,9 @@ def _enumeration_invariants(n: int, r: tuple[int, ...]) -> tuple[int, tuple[int,
     """
     perms = list(itertools.permutations(range(n)))
     nf = len(perms)
-    agree_rows = [
-        [sum(pa[i] == pb[i] for i in range(n)) for pb in perms] for pa in perms
-    ]
-    agree_np = np.array(agree_rows, dtype=np.int64)
+    table = np.array(perms)
+    agree_np = (table[:, None] == table[None]).sum(axis=2)
+    agree_rows = agree_np.tolist()
 
     row_masks: list[list[int]] = []
     for i in range(n):
@@ -402,15 +399,10 @@ def moment_report(spec: ModelSpec) -> MomentReport:
     lower = upper = None
     failure = None
     try:
-        ab = alpha_beta(spec)
-        alpha_up, beta_up, alpha_low, beta_low = ab
+        alpha_up, beta_up, alpha_low, beta_low = alpha_beta(spec)
+        lower, upper = second_moment_bounds(spec)
     except DomainError as exc:
         failure = str(exc)
-    if failure is None:
-        try:
-            lower, upper = second_moment_bounds(spec)
-        except DomainError as exc:
-            failure = str(exc)
     vdw = vdw_bound(spec.n, spec.r_low) if spec.is_homogeneous else None
     exact_ratio = _exact_ratio(spec) if spec.n >= 2 else None
     return MomentReport(

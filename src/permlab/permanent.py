@@ -41,9 +41,6 @@ RYSER_MAX_N = 30
 # at n = 14-16 and 2 above timed best at n = 16-22 (H = 1 and 8 were slower).
 _BLOCK_BITS = 12
 _CHUNK_ENTRIES = 1 << 17
-# high patterns whose sign rows and base row sums are formed together, so
-# that building the sign rows costs no numpy call per pattern
-_BASE_SPAN = 256
 
 _EPS = float(np.finfo(float).eps)  # twice the unit roundoff u
 _PERM_CHUNK = 65536
@@ -101,7 +98,8 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
     low + base, the bits a broadcast add gives. The base sums stay one
     product per pattern, since one product over a chunk's patterns changes
     their last bits. No buffer grows with 2^(n-b): the table holds one
-    chunk and the base sums one span of at most _BASE_SPAN patterns.
+    chunk, and the base sums one span, the most patterns (a power of two, at
+    least a chunk) whose sums fit _CHUNK_ENTRIES: all of them up to n = 24.
     """
     signs = _low_signs(b)[0]
     m, n, _ = a.shape
@@ -121,7 +119,8 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
     prods = np.empty((m, chunk, len(signs)))
     a_hi = a[:, :, b:]
     shifts = np.arange(n - b)
-    span = min(_BASE_SPAN, 1 << (n - b))
+    fit = max(1, _CHUNK_ENTRIES // (m * n))
+    span = min(1 << (n - b), max(chunk, 1 << (fit.bit_length() - 1)))
     bases = np.empty((span, m, n))
     for s0 in range(0, 1 << (n - b), span):
         for j, d in enumerate(1.0 - 2 * ((np.arange(s0, s0 + span)[:, None] >> shifts) & 1)):

@@ -7,7 +7,7 @@ import pytest
 
 from permlab.cli import main
 from permlab.verify import cross_check_suite
-from permlab.core import ScaledValue
+from permlab.core import DomainError, ScaledValue
 
 
 def run_cli(args, **kwargs):
@@ -110,6 +110,15 @@ class TestUsage:
 
     def test_bad_dist_exit_2(self):
         assert main(["moments", "--n", "3", "--r", "2", "--dist", "weird:1"]) == 2
+
+    def test_domain_error_exit_2(self, monkeypatch, capsys):
+        def fail(spec):
+            raise DomainError("hypothesis not met")
+
+        monkeypatch.setattr("permlab.cli.moment_report", fail)
+        assert main(["moments", "--n", "3", "--r", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: hypothesis not met\n")
 
 
 class TestMoments:
@@ -267,6 +276,21 @@ class TestMcSweep:
         assert main(cmd) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "epsilon" in captured.err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("cmd", [
+        ["sample", "--n", "5", "--r", "2,3,2,4,5", "--dist", "lognormal:0,1", "--seed", "77"],
+        ["mc", "--n", "4", "--r", "2", "--dist", "exp:1", "--trials", "200", "--seed", "7"],
+        ["sweep", "--n", "3,5", "--r-rule", "const:2", "--trials", "50", "--seed", "7"],
+    ], ids=["sample", "mc", "sweep"])
+    def test_out_file_equals_stdout(self, cmd, tmp_path, capsys):
+        assert main(cmd) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "out.txt"
+        assert main(cmd + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == stdout.encode()
 
 
 class TestConfigFile:

@@ -170,6 +170,12 @@ class TestSecondMomentBounds:
         assert lower == pytest.approx(1 - slack, rel=1e-12)
         assert upper == pytest.approx(1 + slack, rel=1e-12)
 
+    @pytest.mark.parametrize("law", ["const:1", "exp:1", "uniform:1,2", "lognormal:0,1"])
+    def test_one_row_fails_the_hypothesis(self, law):
+        # n = 1 forces r_low = 1, below 6 delta/nu^2 >= 6 (delta >= nu^2)
+        with pytest.raises(DomainError, match="6\\*delta/nu\\^2"):
+            second_moment_bounds(ModelSpec(1, (1,), DistributionSpec.from_string(law)))
+
 
 def exact_ratio(n, r, dist):
     return moment_report(ModelSpec.homogeneous(n, r, dist)).exact_ratio

@@ -270,3 +270,25 @@ class TestChunkedPassMatchesReference:
             want_values, want_errs = glynn_pass_reference(a)
             assert np.array_equal(values, want_values), name
             assert np.array_equal(errs, want_errs), name
+
+
+class TestSpanFromPassBudget:
+    """A span of base sums holds as many high patterns as _CHUNK_ENTRIES
+    doubles allow. Shrunk to 2^12, the budget holds 204 of n = 20's 256
+    patterns for one matrix, so the pass runs two spans of 128 (four of 64
+    for a stack of three); shrunk to 2^6, not even one pattern of a stack of
+    five at n = 13, so each span is one chunk. Each stays the per-pattern
+    pass bit for bit."""
+
+    @pytest.mark.parametrize("n,stack,budget", [
+        (20, 1, 1 << 12), (20, 3, 1 << 12), (19, 3, 1 << 12), (13, 5, 1 << 6),
+    ])
+    def test_multi_span_pass_bit_identical(self, n, stack, budget, monkeypatch):
+        monkeypatch.setattr(permanent, "_CHUNK_ENTRIES", budget)
+        assert budget // (stack * n) < 1 << (n - _BLOCK_BITS)
+        rng = np.random.default_rng(900 + n)
+        a = _rescaled(np.stack([_support(rng, [n // 2] * n) for _ in range(stack)]), rng)
+        values, errs = _glynn_pass(a)
+        want_values, want_errs = glynn_pass_reference(a)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(errs, want_errs)
