@@ -63,7 +63,7 @@ def _fmt_from_log(log_mag: float) -> str:
 
 
 def _parse_r_spec(text: str, n: int) -> tuple[int, ...]:
-    """A single integer (homogeneous) or a comma list of length n."""
+    """A single integer (homogeneous) or a comma list (ModelSpec checks its length)."""
     parts = [tok.strip() for tok in text.split(",")]
     try:
         values = [int(tok) for tok in parts]
@@ -71,8 +71,6 @@ def _parse_r_spec(text: str, n: int) -> tuple[int, ...]:
         raise ParseError(f"bad r spec {text!r}") from exc
     if len(values) == 1:
         return (values[0],) * n
-    if len(values) != n:
-        raise ParseError(f"r spec has {len(values)} entries, expected {n}")
     return tuple(values)
 
 
@@ -342,7 +340,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

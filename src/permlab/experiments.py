@@ -18,7 +18,7 @@ import numpy as np
 from .core import DistributionSpec, ModelSpec
 from .model import TrialSeed, _sample_trial, _span_words, _StackSampler
 from .moments import moment_report
-from .permanent import _glynn_logs, _pass_shape
+from .permanent import _check_glynn_size, _glynn_logs, _pass_shape
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -94,6 +94,7 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     The trial is a stack of one through the sampler and kernel pass that
     batches use, so a batch's ratios are bit-identical to these.
     """
+    _check_glynn_size(spec.n)
     return float(_trial_ratios(spec, *_sample_trial(spec, seed))[0])
 
 
@@ -126,6 +127,7 @@ class TrialBatch:
     ratios: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_run(self.trials, self.master_seed, self.epsilon)
         arr = np.array(self.ratios, dtype=float)  # copy; the batch owns it
         if arr.shape != (self.trials,):
             raise ValueError(f"expected {self.trials} ratios, got shape {arr.shape}")
@@ -133,10 +135,6 @@ class TrialBatch:
             raise ValueError("ratios must be finite and nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "ratios", arr)
-        if self.trials < 2:
-            raise ValueError("need at least 2 trials for variance estimates")
-        _check_epsilon(self.epsilon)
-        TrialSeed(self.master_seed, self.trials - 1)  # its seed rule
 
     @property
     def mean_ratio(self) -> float:
@@ -163,11 +161,10 @@ class TrialBatch:
             return 0.0
         return jackknife_se_of_variance(self.ratios)
 
-    def p_dev(self, epsilon: float | None = None) -> float:
-        """Empirical P(|T/mu - 1| > epsilon)."""
-        epsilon = self.epsilon if epsilon is None else epsilon
-        _check_epsilon(epsilon)
-        return float(np.mean(np.abs(self.ratios - 1.0) > epsilon))
+    @property
+    def p_dev(self) -> float:
+        """Empirical P(|T/mu - 1| > epsilon) at the batch's epsilon."""
+        return float(np.mean(np.abs(self.ratios - 1.0) > self.epsilon))
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -196,9 +193,14 @@ def ProcessPoolExecutor(max_workers: int):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-def _check_epsilon(epsilon: float) -> None:
+def _check_run(trials: int, master_seed: int, epsilon: float) -> None:
+    """A run's rules: at least 2 trials for the variance estimates, a finite
+    positive epsilon, and TrialSeed's rule for the seed and the last trial."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    TrialSeed(master_seed, trials - 1)
 
 
 def estimate_moments(
@@ -214,11 +216,10 @@ def estimate_moments(
     Ratios land in trial-index order regardless of worker count, so the
     batch (and everything derived from it) is independent of scheduling.
     The pool never starts more workers than there are spans of trials.
+    The run's rules and the kernel's size guard hold before any span runs.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    _check_epsilon(epsilon)
-    TrialSeed(master_seed, trials - 1)  # its seed rule, before any span runs
+    _check_run(trials, master_seed, epsilon)
+    _check_glynn_size(spec.n)
     nworkers = _resolve_workers(workers)
     if nworkers == 1:
         ratios = _run_range(spec, master_seed, 0, trials)
@@ -255,14 +256,13 @@ class SweepPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ns", tuple(int(v) for v in self.ns))
-        if self.trials < 2:
-            raise ValueError("need at least 2 trials per sweep row")
-        TrialSeed(self.master_seed, 0)  # its seed rule, before any row runs
-        _check_epsilon(self.epsilon)
+        # the plan seed's rule, before any row's seed is derived from it
+        _check_run(self.trials, self.master_seed, self.epsilon)
         if len(set(self.ns)) != len(self.ns):
             raise ValueError(f"dimensions must be distinct, got {self.ns}")
         for n in self.ns:
-            # raises if the induced counts fall outside 1..n
+            # before any row runs; spec_for raises if the counts fall outside 1..n
+            _check_glynn_size(n)
             self.spec_for(n)
 
     def spec_for(self, n: int) -> ModelSpec:
@@ -331,7 +331,7 @@ def summary_row(batch: TrialBatch) -> SweepRow:
         se_mean=batch.se_mean,
         var_ratio=batch.var_ratio,
         se_var=batch.se_var,
-        p_dev=batch.p_dev(),
+        p_dev=batch.p_dev,
         epsilon=batch.epsilon,
         a_n=rep.a_n,
         c_n=rep.c_n,

@@ -176,6 +176,12 @@ def _has_perfect_matching(a: np.ndarray) -> bool:
     return all(augment(i, set()) for i in range(len(adj)))
 
 
+def _check_glynn_size(n: int) -> None:
+    """The Glynn kernel's size guard, which runs apply before they sample."""
+    if n > RYSER_MAX_N:
+        raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {n}")
+
+
 def _glynn_logs(a: np.ndarray) -> list[float]:
     """log per(A) for each matrix of a nonnegative (B, n, n) stack, via one
     Glynn pass; -inf marks an exact zero. Guarded at n <= RYSER_MAX_N.
@@ -185,8 +191,7 @@ def _glynn_logs(a: np.ndarray) -> list[float]:
     it has one but the value is not positive. An empty row or column marks
     a zero without the matching search. No result is clamped.
     """
-    if a.shape[1] > RYSER_MAX_N:
-        raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {a.shape[1]}")
+    _check_glynn_size(a.shape[1])
     values, errs = _glynn_pass(a)
     flagged = np.flatnonzero(values <= errs)
     support = a[flagged] != 0

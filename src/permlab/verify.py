@@ -43,8 +43,6 @@ class OracleCheck(NamedTuple):
 
 
 def _rel_ok(a: float, b: float) -> bool:
-    if b == 0:
-        return a == 0
     return abs(a - b) <= REL_TOL * abs(b)
 
 

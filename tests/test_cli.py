@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from permlab.cli import main
-from permlab.verify import cross_check_suite
+from permlab.verify import OracleCheck, cross_check_suite
 from permlab.core import DomainError, ScaledValue
 
 
@@ -15,6 +15,12 @@ def run_cli(args, **kwargs):
         [sys.executable, "-m", "permlab", *args],
         capture_output=True, text=True, **kwargs
     )
+
+
+def cap_address_space():
+    """A child's 1 GiB address-space cap: a run that allocates or loops
+    before its checks fails under it instead of exhausting the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture
@@ -111,6 +117,11 @@ class TestUsage:
     def test_bad_dist_exit_2(self):
         assert main(["moments", "--n", "3", "--r", "2", "--dist", "weird:1"]) == 2
 
+    def test_non_finite_dist_exit_2(self, capsys):
+        assert main(["moments", "--n", "3", "--r", "2", "--dist", "const:inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite distribution parameter" in captured.err
+
     def test_domain_error_exit_2(self, monkeypatch, capsys):
         def fail(spec):
             raise DomainError("hypothesis not met")
@@ -188,6 +199,14 @@ class TestVerify:
         assert "MISMATCH" not in out
         assert out.strip().endswith("52/52 checks passed")
 
+    def test_mismatch_exit_1(self, monkeypatch, capsys):
+        checks = [OracleCheck("a", 1.0, 1.0, True), OracleCheck("b", 1.0, 2.0, False)]
+        monkeypatch.setattr("permlab.cli.cross_check_suite", lambda: checks)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "a: formula=1 oracle=1 ok\nb: formula=1 oracle=2 MISMATCH\n" in out
+        assert out.endswith("1/2 checks passed\n")
+
     def test_injected_mean_typo_fails_suite(self):
         # flip n!/n^n to n^n/n!: every mean check must blow up
         import math
@@ -238,15 +257,33 @@ class TestMcSweep:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exit_2(self, seed):
-        # a child with a capped address space: a seed that reaches the
-        # seeding loop unchecked grows a list until memory runs out
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        # a seed that reaches the seeding loop unchecked grows a list until
+        # memory runs out
         r = run_cli(["mc", "--n", "3", "--r", "2", "--trials", "10", "--seed", seed,
-                     "--workers", "1"], timeout=120, preexec_fn=cap)
+                     "--workers", "1"], timeout=120, preexec_fn=cap_address_space)
         assert r.returncode == 2 and r.stdout == ""
         assert "master_seed must be a 64-bit nonnegative integer" in r.stderr
+
+    @pytest.mark.parametrize("cmd", [
+        ["mc", "--n", "100000", "--r", "2"],
+        ["sweep", "--n", "3,100000", "--r-rule", "const:2"],
+    ], ids=["mc", "sweep"])
+    def test_kernel_size_guard_before_first_draw(self, cmd):
+        # the first trial stack at n = 100000 would not fit under the cap
+        r = run_cli(cmd + ["--trials", "2", "--workers", "1"], timeout=120,
+                    preexec_fn=cap_address_space)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Glynn kernel limited to n <= 30, got 100000" in r.stderr
+
+    def test_sweep_one_trial_exit_2(self, capsys):
+        assert main(["sweep", "--n", "3", "--r-rule", "const:2", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need at least 2 trials, got 1" in captured.err
+
+    def test_bad_n_list_exit_2(self, capsys):
+        assert main(["sweep", "--n", "3,x", "--r-rule", "const:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad n list '3,x'" in captured.err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_sweep_seed_outside_64_bits_exit_2(self, seed, capsys):
@@ -304,6 +341,11 @@ class TestConfigFile:
         row = out.read_text().splitlines()[1].split(",")
         assert row[4] == "80"   # flag beats config
         assert row[5] == "9"    # seed comes from config
+
+    def test_config_without_value_exit_2(self, capsys):
+        assert main(["mc", "--config"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--config: expected one argument" in captured.err
 
     def test_bad_config_line_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

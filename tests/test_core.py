@@ -104,6 +104,10 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec.lognormal(0, 0)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown distribution kind 'gamma'"):
+            DistributionSpec("gamma", (1.0,))
+
     def test_string_round_trip(self):
         for text in ("const:1", "uniform:1,3", "exp:2", "lognormal:0,1"):
             dist = DistributionSpec.from_string(text)
@@ -249,6 +253,9 @@ class TestMatrixIO:
         m = DenseMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_repr_names_the_size(self):
+        assert repr(DenseMatrix(np.eye(2))) == "DenseMatrix(n=2)"
 
     def test_matrix_validation(self):
         with pytest.raises(ShapeError):

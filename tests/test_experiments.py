@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from permlab import experiments
-from permlab.core import DistributionSpec, ModelSpec
+from permlab.core import DistributionSpec, ModelSpec, SizeLimitError
 from permlab.experiments import (
     CSV_HEADER,
     _resolve_workers,
@@ -106,17 +106,19 @@ class TestTrialBatch:
             estimate_moments(SPEC3, 1, 0)
 
     def test_p_dev(self):
-        batch = TrialBatch(SPEC3, 0, 4, 0.1, np.array([1.0, 1.05, 0.0, 9 / 8]))
-        assert batch.p_dev() == pytest.approx(0.5)
-        assert batch.p_dev(2.0) == 0.0
+        ratios = np.array([1.0, 1.05, 0.0, 9 / 8])
+        assert TrialBatch(SPEC3, 0, 4, 0.1, ratios).p_dev == pytest.approx(0.5)
+        assert TrialBatch(SPEC3, 0, 4, 2.0, ratios).p_dev == 0.0
+
+    def test_two_trials_have_no_variance_se(self):
+        # the jackknife needs three values
+        assert math.isnan(jackknife_se_of_variance([1.0, 2.0]))
+        assert math.isnan(TrialBatch(SPEC3, 0, 2, 0.1, np.array([1.0, 2.0])).se_var)
 
     @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_epsilon_is_refused(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             TrialBatch(SPEC3, 0, 4, epsilon, np.ones(4))
-        batch = TrialBatch(SPEC3, 0, 4, 0.1, np.ones(4))
-        with pytest.raises(ValueError, match="epsilon"):
-            batch.p_dev(epsilon)
 
     @pytest.mark.parametrize("master_seed", [-3, 2**64])
     def test_bad_master_seed_is_refused(self, master_seed):
@@ -138,6 +140,43 @@ class TestTrialBatch:
         assert abs(batch.var_ratio - 0.125) < 3 * batch.se_var
         zeros = int((batch.ratios == 0.0).sum())
         assert abs(zeros - batch.trials / 9) < 4 * math.sqrt(batch.trials * (1 / 9) * (8 / 9))
+
+
+class TestRunGate:
+    """One gate holds a run's rules, and the kernel's n <= 30 guard holds
+    before anything is sampled or any pool starts."""
+
+    SPEC31 = ModelSpec(31, (2,) * 31, CONST1)
+
+    def test_one_trial_message(self):
+        for make in (
+            lambda: TrialBatch(SPEC3, 0, 1, 0.1, np.ones(1)),
+            lambda: estimate_moments(SPEC3, 1, 0),
+            lambda: SweepPlan((3,), "const:2", CONST1, 1, 0),
+        ):
+            with pytest.raises(ValueError, match="^need at least 2 trials, got 1$"):
+                make()
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before the size guard")
+
+        for name in ("_sample_trial", "_StackSampler", "_span_words", "ProcessPoolExecutor"):
+            monkeypatch.setattr(experiments, name, fail)
+
+    def test_run_trial(self, no_sampling):
+        with pytest.raises(SizeLimitError, match="n <= 30, got 31"):
+            run_trial(self.SPEC31, TrialSeed(0, 0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimate_moments(self, workers, no_sampling):
+        with pytest.raises(SizeLimitError, match="n <= 30, got 31"):
+            estimate_moments(self.SPEC31, 2, 0, workers=workers)
+
+    def test_sweep_plan_checks_every_n(self):
+        with pytest.raises(SizeLimitError, match="n <= 30, got 31"):
+            SweepPlan((3, 31), "const:2", CONST1, 2, 0)
 
 
 class TestZeroPermanents:
