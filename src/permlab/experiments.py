@@ -22,6 +22,7 @@ from .permanent import _check_glynn_size, _glynn_logs, _pass_shape
 
 __all__ = [
     "DEFAULT_EPSILON",
+    "MAX_TRIALS",
     "CSV_HEADER",
     "TrialBatch",
     "SweepPlan",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 0.1
+MAX_TRIALS = 10**7  # a run's memory grows with its trials: 275 MB at n = 3
 
 
 def jackknife_se_of_variance(values: np.ndarray) -> float:
@@ -194,10 +196,12 @@ def ProcessPoolExecutor(max_workers: int):
 
 
 def _check_run(trials: int, master_seed: int, epsilon: float) -> None:
-    """A run's rules: at least 2 trials for the variance estimates, a finite
-    positive epsilon, and TrialSeed's rule for the seed and the last trial."""
+    """A run's rules: 2 to MAX_TRIALS trials, a finite positive epsilon, and
+    TrialSeed's rule for the seed and the last trial."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} trials, got {trials}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     TrialSeed(master_seed, trials - 1)

@@ -80,15 +80,6 @@ _M32, _M64 = 2**32 - 1, 2**64 - 1
 _SEED_PIECE = 4096
 
 
-def _words32(v: int) -> list[int]:
-    """v as little-endian 32-bit words, at least one: SeedSequence's
-    coercion of an integer entropy word."""
-    words = [v & _M32]
-    while v := v >> 32:
-        words.append(v & _M32)
-    return words
-
-
 def _hashed_state(entropy: list[np.ndarray]) -> np.ndarray:
     """SeedSequence's entropy mix and ``generate_state(4, uint64)``, run
     elementwise on uint32 arrays, one array per entropy word position.
@@ -165,22 +156,18 @@ def _span_words(master_seed: int, start: int, stop: int):
     as (trials, 4) uint64 arrays of at most ``_SEED_PIECE`` trials, each
     piece hashed and seeded in one vectorized pass, so memory does not grow.
 
-    A spawn key pads the master's words to the pool size; the index's words
-    follow. An index has one word below 2^32, and its words above the low
-    64 bits only change at multiples of 2^64, so pieces are also cut there.
+    With a seed below 2^64 and an index below 2^32, SeedSequence's entropy
+    is the seed's two 32-bit words, low first, two zero words padding them
+    to the pool, then the index word. Larger indices are refused, since a
+    uint32 range past 2^32 wraps silently.
     """
-    run = _words32(master_seed)
-    run += [0] * (_POOL - len(run))
-    a = start
-    while a < stop:
-        b = min(stop, a + _SEED_PIECE, 2**32 if a < 2**32 else ((a >> 64) + 1) << 64)
-        low = np.uint64(a & _M64) + np.arange(b - a, dtype=np.uint64)
-        index = [low & _M32] if a < 2**32 else [low & _M32, low >> 32]
-        high = _words32(a >> 64) if a >> 64 else []
-        fixed = [np.full(b - a, w, dtype=np.uint32) for w in run + high]
-        entropy = fixed[:_POOL] + [w.astype(np.uint32) for w in index] + fixed[_POOL:]
+    if stop > 2**32:
+        raise ValueError(f"span seeding covers trial indices below 2^32, got stop {stop}")
+    seed = [master_seed & _M32, master_seed >> 32, 0, 0]
+    for a in range(start, stop, _SEED_PIECE):
+        index = np.arange(a, min(stop, a + _SEED_PIECE), dtype=np.uint32)
+        entropy = [np.full(len(index), w, dtype=np.uint32) for w in seed] + [index]
         yield _pcg64_words(_hashed_state(entropy))
-        a = b
 
 
 def _span_states(master_seed: int, start: int, stop: int):

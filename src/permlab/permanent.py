@@ -27,7 +27,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import DenseMatrix, PrecisionError, ScaledValue, SizeLimitError
-from .model import _SEED_PIECE
 
 __all__ = ["per_naive", "per_ryser", "per_scaled", "NAIVE_MAX_N", "RYSER_MAX_N"]
 
@@ -81,11 +80,11 @@ def _low_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pass_shape(n: int) -> tuple[int, int]:
     """(stack, chunk): the largest power of two of the 2^(n-b) high patterns,
-    then the most matrices up to a seed piece, whose table fits _CHUNK_ENTRIES."""
+    then the most matrices whose table fits _CHUNK_ENTRIES."""
     b = min(n, _BLOCK_BITS)
     fit = max(1, _CHUNK_ENTRIES // (n << (b - 1)))
     chunk = min(1 << (n - b), 1 << (fit.bit_length() - 1))
-    return min(fit // chunk, _SEED_PIECE), chunk
+    return fit // chunk, chunk
 
 
 def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:

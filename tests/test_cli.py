@@ -275,6 +275,31 @@ class TestMcSweep:
         assert r.returncode == 2 and r.stdout == ""
         assert "Glynn kernel limited to n <= 30, got 100000" in r.stderr
 
+    @pytest.mark.parametrize("cmd,message", [
+        (["mc", "--n", "1000000000", "--r", "2", "--trials", "2"],
+         "Glynn kernel limited to n <= 30, got 1000000000"),
+        (["sample", "--n", "100000", "--r", "2"], "sample limited to n <= 1000, got 100000"),
+        (["moments", "--n", "100000000", "--r", "2"],
+         "moments limited to n <= 1000000, got 100000000"),
+    ], ids=["mc", "sample", "moments"])
+    def test_n_limit_before_r_is_expanded(self, cmd, message):
+        # --r 2 as an n-tuple, or what the command builds from it, would not
+        # fit under the cap
+        r = run_cli(cmd, timeout=120, preexec_fn=cap_address_space)
+        assert r.returncode == 2 and r.stdout == ""
+        assert message in r.stderr
+
+    @pytest.mark.parametrize("cmd,trials", [
+        (["mc", "--n", "3", "--r", "2"], "10000001"),
+        (["sweep", "--n", "3,4", "--r-rule", "const:2"], "1000000000000"),
+    ], ids=["mc", "sweep"])
+    def test_trial_ceiling_exit_2(self, cmd, trials):
+        # the ratios of 10^12 trials would not fit under the cap
+        r = run_cli(cmd + ["--trials", trials, "--workers", "1"], timeout=120,
+                    preexec_fn=cap_address_space)
+        assert r.returncode == 2 and r.stdout == ""
+        assert f"at most 10000000 trials, got {trials}" in r.stderr
+
     def test_sweep_one_trial_exit_2(self, capsys):
         assert main(["sweep", "--n", "3", "--r-rule", "const:2", "--trials", "1"]) == 2
         captured = capsys.readouterr()

@@ -12,6 +12,7 @@ from permlab import experiments
 from permlab.core import DistributionSpec, ModelSpec, SizeLimitError
 from permlab.experiments import (
     CSV_HEADER,
+    MAX_TRIALS,
     _resolve_workers,
     SweepPlan,
     TrialBatch,
@@ -157,6 +158,17 @@ class TestRunGate:
             with pytest.raises(ValueError, match="^need at least 2 trials, got 1$"):
                 make()
 
+    def test_trial_ceiling(self):
+        experiments._check_run(MAX_TRIALS, 0, 0.1)
+        assert MAX_TRIALS == 10**7
+        for make in (
+            lambda: experiments._check_run(MAX_TRIALS + 1, 0, 0.1),
+            lambda: estimate_moments(SPEC3, MAX_TRIALS + 1, 0),
+            lambda: SweepPlan((3,), "const:2", CONST1, 10**12, 0),
+        ):
+            with pytest.raises(ValueError, match="^at most 10000000 trials, got "):
+                make()
+
     @pytest.fixture
     def no_sampling(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -288,13 +300,13 @@ class TestBatchEqualsSingle:
     def test_stack_sizes(self):
         # one budget: the stacked (stack, n, chunk, 2^(b-1)) table fits it
         assert [_pass_shape(n) for n in (1, 3, 6, 8, 11, 12, 13, 14, 16, 20)] == [
-            (4096, 1), (4096, 1), (682, 1), (128, 1), (11, 1), (5, 1), (2, 2),
+            (131072, 1), (10922, 1), (682, 1), (128, 1), (11, 1), (5, 1), (2, 2),
             (1, 4), (1, 4), (1, 2)]
         for n in range(1, 31):
             stack, chunk = _pass_shape(n)
             table = n << (min(n, _BLOCK_BITS) - 1)
             assert stack * chunk * table <= max(_CHUNK_ENTRIES, table), n
-            assert 1 <= stack <= _SEED_PIECE, n
+            assert stack >= 1, n
 
 
 class TestRunRangeMemory:
@@ -316,8 +328,8 @@ class TestRunRangeMemory:
         assert growth <= 8 * 40_000 + 2**18, peaks
 
     def test_pieces_keep_trial_rng_states(self):
-        # one full piece, one cut short at 2^32, one past it
-        start, stop = 2**32 - _SEED_PIECE - 3, 2**32 + 5
+        # one piece cut short, then a full one ending at span seeding's 2^32
+        start, stop = 2**32 - _SEED_PIECE - 3, 2**32
         got = list(_span_states(3, start, stop))
         want = [trial_rng(TrialSeed(3, i)).bit_generator.state for i in range(start, stop)]
         assert got == want

@@ -45,12 +45,11 @@ class TestTrialSeed:
 
 class TestSpanStates:
     """A span's generators, derived at once from SeedSequence's hash, are in
-    ``trial_rng``'s states. Index words change count at 2^32 and 2^64 (and
-    the low words wrap at every multiple of 2^64), so spans straddle those."""
+    ``trial_rng``'s states. Span seeding covers indices below 2^32, where an
+    index is one entropy word, so spans reach its last index."""
 
     MASTERS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
-    SPANS = ((0, 41), (2**32 - 1, 2**32 + 1), (2**33 + 7, 2**33 + 8),
-             (2**64 - 1, 2**64 + 1), (2**65 - 1, 2**65 + 1), (2**96 - 1, 2**96 + 1))
+    SPANS = ((0, 41), (2**31 - 1, 2**31 + 1), (2**32 - 3, 2**32))
     LAWS = (CONST1, DistributionSpec.uniform(0.5, 2.0), DistributionSpec.exponential(2.0),
             DistributionSpec.lognormal(0.3, 0.8))
 
@@ -61,13 +60,18 @@ class TestSpanStates:
             want = [trial_rng(TrialSeed(master, i)).bit_generator.state for i in range(start, stop)]
             assert got == want, (start, stop)
 
+    def test_index_past_2_32_refused(self):
+        # a uint32 range past 2^32 would wrap to indices 0, 1, ... silently
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            list(model._span_words(3, 2**32 - 2, 2**32 + 1))
+
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
     def test_draws_equal_trial_rng(self, dist):
         # the picks, W, and the state they leave, trial by trial
         n, r = 5, (1, 5, 2, 3, 4)
         lows = np.concatenate([np.arange(ri) for ri in r])
         for master in (7, 2**64 - 1):
-            for start, stop in ((0, 30), (2**64 - 2, 2**64 + 2)):
+            for start, stop in ((0, 30), (2**32 - 4, 2**32)):
                 rngs = _span_rngs(master, start, stop)
                 for i, rng in zip(range(start, stop), rngs):
                     ref = trial_rng(TrialSeed(master, i))
