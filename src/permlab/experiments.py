@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import DistributionSpec, ModelSpec
+from .core import DistributionSpec, ModelSpec, ParseError
 from .model import TrialSeed, _sample_trial, _span_words, _StackSampler
 from .moments import moment_report
 from .permanent import _check_glynn_size, _glynn_logs, _pass_shape
@@ -274,18 +274,21 @@ class SweepPlan:
 
 
 def resolve_r_rule(rule: str, n: int) -> tuple[int, ...]:
-    """Row counts induced by an r-rule string at dimension n."""
+    """Row counts induced by an r-rule string at dimension n; ``ParseError`` if none."""
     head, _, tail = rule.strip().partition(":")
     head = head.strip()
-    if head == "const":
-        return (int(tail),) * n
-    if head == "sqrt-log":
-        return (math.ceil(math.sqrt(n) * math.log(n)),) * n
-    if head == "power":
-        return (math.ceil(n ** float(tail)),) * n
-    if head == "fixed":
-        return tuple(int(tok) for tok in tail.split(","))
-    raise ValueError(f"unknown r-rule {rule!r}")
+    try:
+        if head == "const":
+            return (int(tail),) * n
+        if head == "sqrt-log":
+            return (math.ceil(math.sqrt(n) * math.log(n)),) * n
+        if head == "power":
+            return (math.ceil(n ** float(tail)),) * n
+        if head == "fixed":
+            return tuple(int(tok) for tok in tail.split(","))
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ParseError(f"bad r-rule {rule!r} at n = {n}") from exc
+    raise ParseError(f"unknown r-rule {rule!r}")
 
 
 @dataclass(frozen=True)

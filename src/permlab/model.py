@@ -18,10 +18,12 @@ one numpy stage, SeedSequence's published hash then PCG's seeding, and writes
 each into one generator; the states are ``trial_rng``'s, so the streams are too.
 
 One sampler, ``_StackSampler``, draws every trial, a single trial as a
-stack of one. The picks are ``integers(lows, n)``'s stream, read as raw
-64-bit words, one ``random_raw`` call per trial, with numpy's 32-bit Lemire
-rule applied to the whole stack; a trial with a rejected draw makes the
-``integers`` call itself. Tests pin this against numpy's own calls.
+stack of one. It takes the trials' states as (trials, 4) uint64 struct
+words; a single trial converts ``trial_rng``'s state to words once. The
+picks are ``integers(lows, n)``'s stream, read as raw 64-bit words, one
+``random_raw`` call per trial, with numpy's 32-bit Lemire rule applied to
+the whole stack; a trial with a rejected draw makes the ``integers`` call
+itself. Tests pin this against numpy's own calls.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .core import _FAMILIES, DenseMatrix, ModelSpec
 __all__ = [
     "TrialSeed",
     "trial_rng",
-    "sample_row_support",
     "sample_constrained_matrix",
 ]
 
@@ -170,11 +171,6 @@ def _span_words(master_seed: int, start: int, stop: int):
         yield _pcg64_words(_hashed_state(entropy))
 
 
-def _span_states(master_seed: int, start: int, stop: int):
-    """The PCG64 state dicts of ``_span_words``' trials, in turn."""
-    return (_state_dict(w) for piece in _span_words(master_seed, start, stop) for w in piece)
-
-
 def _state_view(bits: np.random.PCG64) -> np.ndarray:
     """A writable view of ``bits``' (state, inc) block, valid while ``bits``
     lives: the first field of the struct at ``ctypes.state_address``."""
@@ -275,28 +271,10 @@ def _supports(picks: np.ndarray, r, n: int) -> np.ndarray:
     return x.reshape(*starts.shape, n)
 
 
-def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform r-subset of columns 0..n-1.
-
-    Partial Fisher-Yates: swap a uniform pick from position i..n-1 into
-    position i, for i < r; the first r entries are then a uniform subset.
-    Returned sorted. This is the contract's row-at-a-time form, one
-    ``integers`` call per swap; trial sampling draws the same picks with one
-    call per trial and makes the same swaps on a stack.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"r must be in 1..{n}, got {r}")
-    arr = list(range(n))
-    for i in range(r):
-        j = int(rng.integers(i, n))
-        arr[i], arr[j] = arr[j], arr[i]
-    return tuple(sorted(arr[:r]))
-
-
 class _StackSampler:
     """Draws the (X, W) stacks of trials given by their PCG64 states, as
-    (trials, 4) struct words or state dicts, writing each trial's words into
-    one generator's (state, inc) block. Built once per span, so the spec's
+    (trials, 4) uint64 struct words, writing each trial's words into one
+    generator's (state, inc) block. Built once per span, so the spec's
     constants are too.
 
     Each trial makes one ``random_raw`` call for its picks, then draws W in
@@ -320,9 +298,7 @@ class _StackSampler:
         self.words = (np.count_nonzero(self.rule[1] > 1) + 1) // 2
         self.draw = functools.partial(_FAMILIES[spec.dist.kind].draw, spec.dist.params)
 
-    def __call__(self, states) -> tuple[np.ndarray, np.ndarray]:
-        if not isinstance(states, np.ndarray):
-            states = np.array([_struct_words(s) for s in states], dtype=np.uint64)
+    def __call__(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, words, draw, rng, block = self.spec.n, self.words, self.draw, self.rng, self.block
         bits, count = rng.bit_generator, len(states)
         # n = 1 draws no word: its one pick, of range 1, reads a zero as offset 0
@@ -343,7 +319,8 @@ class _StackSampler:
 
 def _sample_trial(spec: ModelSpec, seed: TrialSeed) -> tuple[np.ndarray, np.ndarray]:
     """The (X, W) stacks of one trial: a stack of one in ``trial_rng``'s state."""
-    return _StackSampler(spec)([trial_rng(seed).bit_generator.state])
+    state = trial_rng(seed).bit_generator.state
+    return _StackSampler(spec)(np.array([_struct_words(state)], dtype=np.uint64))
 
 
 def sample_constrained_matrix(

@@ -2,13 +2,16 @@
 ``permlab.model``'s sampler and span seeding, and the exhaustive list of
 the constraint class it samples from.
 
+``sample_row_support`` is the contract's row-at-a-time draw, one
+``integers(i, n)`` call per Fisher-Yates swap.
 ``_sample_standard_realizations`` draws trial by trial on the trials' own
 generators: one ``integers(lows, n)`` call for the Fisher-Yates picks, then
 W. ``_StackSampler``'s stacks, read from raw words, must equal it bit for
-bit. ``_span_rngs`` hands out a span's generators in the states
-``_span_states`` derives, so tests can draw from them as from
-``trial_rng``'s. ``enumerate_constraint_matrices`` yields every matrix a
-trial's X can be, for the exhaustive checks of the moment oracles.
+bit. ``_span_states`` turns the struct words ``model._span_words`` derives
+into PCG64 state dicts, and ``_span_rngs`` hands out a span's generators in
+those states, so tests can draw from them as from ``trial_rng``'s.
+``enumerate_constraint_matrices`` yields every matrix a trial's X can be,
+for the exhaustive checks of the moment oracles.
 """
 
 import itertools
@@ -18,6 +21,24 @@ import numpy as np
 from permlab import model
 from permlab.core import DenseMatrix, ModelSpec, SizeLimitError
 from permlab.moments import ENUMERATION_MAX_CLASS, constraint_class_size
+
+
+def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Uniform r-subset of columns 0..n-1.
+
+    Partial Fisher-Yates: swap a uniform pick from position i..n-1 into
+    position i, for i < r; the first r entries are then a uniform subset.
+    Returned sorted. This is the contract's row-at-a-time form, one
+    ``integers`` call per swap; trial sampling draws the same picks with one
+    call per trial and makes the same swaps on a stack.
+    """
+    if not 1 <= r <= n:
+        raise ValueError(f"r must be in 1..{n}, got {r}")
+    arr = list(range(n))
+    for i in range(r):
+        j = int(rng.integers(i, n))
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(sorted(arr[:r]))
 
 
 def _sample_standard_realizations(
@@ -38,6 +59,12 @@ def _sample_standard_realizations(
     return model._supports(picks, spec.r, n), w
 
 
+def _span_states(master_seed: int, start: int, stop: int):
+    """The PCG64 state dicts of ``model._span_words``' trials, in turn."""
+    return (model._state_dict(w) for piece in model._span_words(master_seed, start, stop)
+            for w in piece)
+
+
 def _span_rngs(master_seed: int, start: int, stop: int):
     """The generators of trials start..stop-1 in turn, each in the state
     ``trial_rng`` gives it.
@@ -47,7 +74,7 @@ def _span_rngs(master_seed: int, start: int, stop: int):
     next step.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    for state in model._span_states(master_seed, start, stop):
+    for state in _span_states(master_seed, start, stop):
         rng.bit_generator.state = state
         yield rng
 

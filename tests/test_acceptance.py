@@ -27,7 +27,7 @@ from permlab.experiments import (
     estimate_moments,
     resolve_r_rule,
 )
-from permlab.model import TrialSeed, sample_row_support, trial_rng
+from permlab.model import TrialSeed, trial_rng
 from permlab.moments import (
     alpha_beta,
     brute_second_moment_pairs,
@@ -38,6 +38,7 @@ from permlab.moments import (
 )
 from permlab.permanent import per_naive, per_ryser
 from paper_series import second_moment_series
+from sampler_reference import sample_row_support
 
 CONST1 = DistributionSpec.constant(1)
 EXP1 = DistributionSpec.exponential(1)

@@ -310,6 +310,15 @@ class TestMcSweep:
         captured = capsys.readouterr()
         assert captured.out == "" and "bad n list '3,x'" in captured.err
 
+    @pytest.mark.parametrize("n,rule", [("3", "power:1000"), ("3", "power:1e400"),
+                                        ("3", "power:nan"), ("3", "const:"), ("-3", "power:0.5")])
+    def test_bad_r_rule_exit_2(self, n, rule, capsys):
+        # 3 ** 1000.0 overflows a double, 1e400 and nan are no row count, and
+        # (-3) ** 0.5 is complex
+        assert main(["sweep", "--n", n, "--r-rule", rule, "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"bad r-rule '{rule}' at n = {n}" in captured.err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_sweep_seed_outside_64_bits_exit_2(self, seed, capsys):
         # refused by the plan, before any row's seed is derived from it

@@ -24,9 +24,10 @@ from permlab.experiments import (
     summary_row,
     write_csv,
 )
-from permlab.model import _SEED_PIECE, TrialSeed, _span_states, sample_constrained_matrix, trial_rng
+from permlab.model import _SEED_PIECE, TrialSeed, sample_constrained_matrix, trial_rng
 from permlab.moments import moment_report
 from permlab.permanent import _BLOCK_BITS, _CHUNK_ENTRIES, _pass_shape
+from sampler_reference import _span_states
 
 CONST1 = DistributionSpec.constant(1)
 SPEC3 = ModelSpec(3, (2, 2, 2), CONST1)

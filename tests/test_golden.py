@@ -22,6 +22,7 @@ from permlab.experiments import SweepPlan, concentration_sweep, csv_text, estima
 from permlab.model import TrialSeed, sample_constrained_matrix
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "permlab"
 
 
 def _sha256(data: bytes) -> str:
@@ -125,3 +126,19 @@ def test_perfbench_imports_are_exported():
                 missing += [f"{path.name}: {a.name}" for a in node.names
                             if a.name not in permlab.__all__]
     assert imported and not missing
+
+
+def test_src_defines_only_what_src_uses():
+    # every top-level function or class is exported or referenced, by name or
+    # attribute, outside its own definition; test-only code lives in tests/
+    defs, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append(top)
+            refs += [(node.id if isinstance(node, ast.Name) else node.attr, top)
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = [d.name for d in defs if d.name not in permlab.__all__
+              and not any(ref == d.name and where is not d for ref, where in refs)]
+    assert defs
+    assert not unused

@@ -12,14 +12,18 @@ from permlab.model import (
     TrialSeed,
     _lemire_resolve,
     _lemire_rule,
-    _span_states,
     _StackSampler,
     sample_constrained_matrix,
-    sample_row_support,
     trial_rng,
 )
 from permlab.moments import constraint_class_size
-from sampler_reference import _sample_standard_realizations, _span_rngs, enumerate_constraint_matrices
+from sampler_reference import (
+    _sample_standard_realizations,
+    _span_rngs,
+    _span_states,
+    enumerate_constraint_matrices,
+    sample_row_support,
+)
 
 CONST1 = DistributionSpec.constant(1)
 
@@ -235,7 +239,7 @@ class TestRawPicks:
     def _picks_and_w(monkeypatch, spec, states):
         # X is a function of the picks; compare the picks themselves
         monkeypatch.setattr(model, "_supports", lambda picks, r, n: picks)
-        got = _StackSampler(spec)(states)
+        got = _StackSampler(spec)(np.array([model._struct_words(s) for s in states], dtype=np.uint64))
         want = _sample_standard_realizations(spec, _in_states(states), len(states))
         return got, want
 

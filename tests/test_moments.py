@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permlab.core import DistributionSpec, DomainError, ModelSpec, SizeLimitError
-from permlab.model import TrialSeed, trial_rng, sample_row_support
+from permlab.model import TrialSeed, trial_rng
 from permlab.moments import (
     alpha_beta,
     brute_second_moment_pairs,
@@ -25,6 +25,7 @@ from paper_series import (
     second_moment_series,
     subfactorial_b,
 )
+from sampler_reference import sample_row_support
 
 CONST1 = DistributionSpec.constant(1)
 EXP1 = DistributionSpec.exponential(1)

@@ -244,8 +244,9 @@ def _rescaled(x, rng):
 class TestChunkedPassMatchesReference:
     """The chunked Glynn pass performs the per-pattern pass's roundings in
     its order, so values and errs are equal bit for bit. n = 13..22 covers
-    chunks of 2 and 4 patterns, one to four spans of base sums, and a last
-    chunk that ends exactly at 2^(n-b)."""
+    chunks of 2 and 4 patterns and a last chunk that ends exactly at
+    2^(n-b); each case's base sums fit one span, and TestSpanFromPassBudget
+    covers several."""
 
     @pytest.mark.parametrize("n", range(1, 23))
     def test_bit_identical(self, n):
