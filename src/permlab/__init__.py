@@ -9,6 +9,16 @@ The top level re-exports the names the benchmark harness uses; every other
 name is imported from its submodule.
 """
 
+import os
+
+# One OpenBLAS thread per process, set before any submodule imports numpy.
+# Parallelism is --workers processes, which inherit the variable; every BLAS
+# call here is small (n <= 30) except the jackknife's dot product, which a
+# threaded ddot splits by CPU count and so sums in a host-dependent order.
+# Both entry points, `python -m permlab` and the `permlab` script, import
+# this package before numpy. An explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import DenseMatrix, DistributionSpec, ModelSpec
 from .experiments import TrialBatch, estimate_moments, run_trial, summary_row, write_csv
 from .model import TrialSeed, sample_constrained_matrix, trial_rng

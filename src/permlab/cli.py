@@ -17,8 +17,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .core import (
     DistributionSpec,
     ModelSpec,
@@ -40,7 +38,7 @@ from .experiments import (
 )
 from .model import TrialSeed, sample_constrained_matrix
 from .moments import moment_report
-from .permanent import RYSER_MAX_N, per_naive, per_ryser, per_scaled
+from .permanent import RYSER_MAX_N, per_naive, per_scaled
 from .verify import cross_check_suite
 
 __all__ = ["main", "build_parser"]
@@ -54,8 +52,9 @@ def _fmt_from_log(log_mag: float) -> str:
     """The decimal of exp(log_mag) as mantissa and power of ten, to the
     significant digits its log supports: an absolute error in the log is
     that relative error in the value, and a computed log carries a few
-    ulps (its own rounding, the kernel's and the row scales' logs)."""
-    digits = int(-math.log10(4 * math.ulp(log_mag)))
+    ulps (its own rounding, the kernel's and the row scales' logs). At most
+    17 digits, all a double holds, however small the log."""
+    digits = min(17, int(-math.log10(4 * math.ulp(log_mag))))
     x = log_mag / math.log(10)
     exp10 = math.floor(x)
     # rounding may carry the mantissa to 10, which the e-format absorbs
@@ -156,29 +155,18 @@ def cmd_per(args: argparse.Namespace) -> int:
     _echo_config(args)
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
-    with np.errstate(over="ignore"):
-        # a row sum past the double range is inf, which selects the scaled pass
-        rowsums = m.entries.sum(axis=1)
-    scaled = False
     if args.algorithm == "naive":
         value = per_naive(m)
-    elif rowsums.min() == 0 or abs(np.log2(rowsums).sum()) <= 900:
-        value = per_ryser(m)
     else:
-        # prod rowsum is outside [2^-900, 2^900], where the unscaled pass
-        # underflows or overflows; rows scaled by their largest entry, which
-        # stays finite where a row sum overflows, keep the magnitude in logs
-        value, scaled = per_scaled(m, m.entries.max(axis=1)), True
+        # each row scaled by its largest entry keeps the pass near magnitude
+        # one; an all-zero row keeps scale 1, and the pass returns the exact zero
+        scales = m.entries.max(axis=1)
+        scales[scales == 0] = 1.0
+        value = per_scaled(m, scales)
     if value.is_zero:
         print("per = 0  log_per = -inf")
         return 0
-    decimal = value.to_float()
-    # the scaled pass's decimal is exp(log_per), whose last digits are the
-    # log's rounding, and a value past the normal double range would print
-    # as 0, inf or a subnormal's few true digits: these come from the log
-    in_range = sys.float_info.min <= decimal < math.inf
-    text = _fmt(decimal) if in_range and not scaled else _fmt_from_log(value.log_mag)
-    print(f"per = {text}  log_per = {_fmt(value.log_mag)}")
+    print(f"per = {_fmt_from_log(value.log_mag)}  log_per = {_fmt(value.log_mag)}")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -83,7 +84,9 @@ def alpha_beta(spec: ModelSpec) -> AlphaBeta:
         beta_low  = delta r_low (n - 1) / (nu^2 r_up (r_low - 1))
 
     The alpha powers are evaluated as exp(n * log(.)). Requires n >= 2 and
-    r_low >= 2; the formulas divide by r - 1.
+    r_low >= 2; the formulas divide by r - 1. An alpha below the normal
+    double range (n/r past about 708) has lost its bits, so it is a
+    DomainError naming n, its row count and its value.
     """
     n, rl, ru = spec.n, spec.r_low, spec.r_up
     if n < 2:
@@ -95,6 +98,10 @@ def alpha_beta(spec: ModelSpec) -> AlphaBeta:
     beta_up = q * ru * (n - 1) / (rl * (ru - 1))
     alpha_low = math.exp(n * math.log(n * (rl - 1) / (rl * (n - 1))))
     beta_low = q * rl * (n - 1) / (ru * (rl - 1))
+    for name, r, alpha in (("alpha_up", ru, alpha_up), ("alpha_low", rl, alpha_low)):
+        if alpha < sys.float_info.min:
+            raise DomainError(f"{name} = {alpha!r} at n={n}, r={r} is below the normal "
+                              "double range")
     return AlphaBeta(alpha_up, beta_up, alpha_low, beta_low)
 
 

@@ -223,7 +223,9 @@ def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
     the result is multiplied by exp(sum log row_scales) in log space. With
     scales near each row's expected sum the kernel arithmetic stays near
     magnitude one, which keeps the relative error bounded up to the n <= 30
-    guard where the raw permanent overflows doubles.
+    guard where the raw permanent overflows doubles. A nonzero entry that
+    the division flushes to 0.0 would drop out of the support, so that is a
+    PrecisionError naming its row, never a false zero.
     """
     n = m.n
     scales = np.asarray(row_scales, dtype=float)
@@ -231,6 +233,12 @@ def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
         raise ValueError(f"need {n} row scales, got shape {scales.shape}")
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
         raise ValueError("row scales must be finite and positive")
-    (log_v,) = _glynn_logs((m.entries / scales[:, None])[None])
+    a = m.entries / scales[:, None]
+    flushed = np.flatnonzero(((a == 0) & (m.entries != 0)).any(axis=1))
+    if len(flushed):
+        i = int(flushed[0])
+        raise PrecisionError(f"row {i} divided by its scale {float(scales[i])!r} flushes "
+                             "a nonzero entry to 0")
+    (log_v,) = _glynn_logs(a[None])
     # an exact zero's -inf stays -inf
     return ScaledValue(log_v + math.fsum(math.log(s) for s in scales))

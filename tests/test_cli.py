@@ -1,13 +1,17 @@
 import math
+import os
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from permlab.cli import main
 from permlab.verify import OracleCheck, cross_check_suite
 from permlab.core import DomainError, ScaledValue
+from test_kernel_accuracy import exact_per01
 
 
 def run_cli(args, **kwargs):
@@ -30,22 +34,59 @@ def matrix_file(tmp_path):
     return str(p)
 
 
+def diagonal_01(n, seed):
+    """A 0-1 matrix whose row i holds column i and n/2 - 1 others, so its
+    permanent is at least 1."""
+    rng = np.random.default_rng(seed)
+    x = np.eye(n)
+    for i in range(n):
+        x[i, rng.choice(np.delete(np.arange(n), i), size=n // 2 - 1, replace=False)] = 1.0
+    return x
+
+
 class TestPer:
     def test_ryser_output(self, matrix_file, capsys):
         assert main(["per", "--input", matrix_file]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("per = 10")
+        assert out.startswith("per = 1e+01  ")
         assert "log_per = 2.30258509299404" in out
 
     def test_naive_matches(self, matrix_file, capsys):
         assert main(["per", "--input", matrix_file, "--algorithm", "naive"]) == 0
-        assert capsys.readouterr().out.startswith("per = 10")
+        assert capsys.readouterr().out.startswith("per = 1e+01  ")
 
     def test_all_ones_8(self, tmp_path, capsys):
         p = tmp_path / "ones.txt"
         p.write_text("\n".join(" ".join("1" for _ in range(8)) for _ in range(8)) + "\n")
         assert main(["per", "--input", str(p)]) == 0
-        assert capsys.readouterr().out.startswith("per = 40320")
+        assert capsys.readouterr().out.startswith("per = 4.032e+04  ")
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_01_prints_exact_permanent(self, n, tmp_path, capsys):
+        # the decimal carries the digits log_per supports, which land on the
+        # integer; 17 digits of exp(log_per) printed 286085096.00000012 at n = 16
+        x = diagonal_01(n, seed=1)
+        p = tmp_path / "m.txt"
+        p.write_text("".join(" ".join("1" if v else "0" for v in row) + "\n" for row in x))
+        assert main(["per", "--input", str(p)]) == 0
+        assert Decimal(capsys.readouterr().out.split()[2]) == exact_per01(x)
+
+    def test_non_integer_entry_prints_its_digits(self, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        p.write_text("1.0001\n")
+        assert main(["per", "--input", str(p)]) == 0
+        assert capsys.readouterr().out.startswith("per = 1.0001e+00  ")
+
+    @pytest.mark.parametrize("text", ["1e300 1e-30\n1e300 0\n", "1e300 1e-40\n1e-260 0\n"])
+    def test_scaling_flushes_entry_exit_1(self, text, tmp_path, capsys):
+        # per = 1e270 and 1e-300, but 1e-30 / 1e300 and 1e-40 / 1e300 are 0.0
+        # in doubles, which would drop the only matching from the support
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        assert main(["per", "--input", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 0 divided by its scale 1e+300 flushes a nonzero entry to 0" in captured.err
 
     def test_naive_guard_exit_2(self, tmp_path, capsys):
         p = tmp_path / "big.txt"
@@ -163,6 +204,20 @@ class TestMoments:
     def test_ratio_beyond_double_range_prints_inf(self, capsys):
         assert main(["moments", "--n", "3000", "--r", "2"]) == 0
         assert "exact_ratio = inf\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n,r,alpha", [
+        ("640000", "800", "0.0"), ("1000000", "1000", "0.0"), ("550000", "742", "2e-322")])
+    def test_alpha_below_normal_range_leaves_bounds_unavailable(self, n, r, alpha, capsys):
+        # alpha = exp(n log o) is about e^(-n/r): zero past n/r = 745, which
+        # once crashed the bounds' log, and subnormal past 708, which once
+        # printed a bound_up below exact_ratio
+        assert main(["moments", "--n", n, "--r", r]) == 0
+        vals = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert vals["bounds"] == (f"unavailable (alpha_up = {alpha} at n={n}, r={r} "
+                                  "is below the normal double range)")
+        assert not {"alpha_up", "bound_low", "bound_up"} & set(vals)
+        assert 1.0 < float(vals["exact_ratio"]) < 2.0
+        assert {"mu", "a_n", "c_n", "theta"} <= set(vals)
 
 
 class TestSample:
@@ -453,6 +508,45 @@ class TestImports:
         r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
+
+
+def env_without_blas_threads(**extra):
+    """This process's environment without the BLAS thread settings, plus extra."""
+    drop = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"}
+    return {k: v for k, v in os.environ.items() if k not in drop} | extra
+
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+class TestBlasThreads:
+    def test_one_blas_thread_by_default(self):
+        probe = ("import os, permlab.cli; task = '/proc/self/task'; "
+                 "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                 "len(os.listdir(task)) if os.path.isdir(task) else 1)")
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=env_without_blas_threads())
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "1 1\n"
+
+    def test_explicit_setting_wins(self):
+        probe = "import os, permlab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=env_without_blas_threads(OPENBLAS_NUM_THREADS="2"))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "2\n"
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="one BLAS thread either way")
+    def test_mc_bytes_independent_of_cpu_count(self):
+        # the jackknife's 60 000-element dot product is one OpenBLAS ddot,
+        # which a second thread splits and sums in another order
+        args = ["mc", "--n", "3", "--r", "2", "--dist", "exp:1", "--trials", "60000",
+                "--seed", "7"]
+        default = run_cli(args, env=env_without_blas_threads())
+        single = run_cli(args, env=env_without_blas_threads(OPENBLAS_NUM_THREADS="1"))
+        assert default.returncode == single.returncode == 0
+        assert default.stdout == single.stdout
 
 
 class TestDeterminism:

@@ -151,6 +151,13 @@ class TestAlphaBeta:
         with pytest.raises(DomainError):
             alpha_beta(ModelSpec(1, (1,), CONST1))
 
+    def test_alpha_below_normal_range(self):
+        # alpha_low is about e^(-550000/700), past the double range, while
+        # alpha_up, about e^(-275), is a normal double
+        spec = ModelSpec(550000, (700,) * 1000 + (2000,) * 549000, CONST1)
+        with pytest.raises(DomainError, match=r"^alpha_low = 0\.0 at n=550000, r=700 "):
+            alpha_beta(spec)
+
 
 class TestSecondMomentBounds:
     def test_hypothesis_failure_names_the_condition(self):

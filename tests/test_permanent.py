@@ -213,6 +213,13 @@ class TestScaledPermanent:
         m = DenseMatrix(np.zeros((4, 4)))
         assert per_scaled(m, [1.0] * 4).is_zero
 
+    def test_scale_that_flushes_an_entry_raises(self):
+        # per = 1e-30, but 1e-30 / 1e300 is 0.0 in doubles, which would
+        # leave row 1 only the column that row 0 needs
+        m = DenseMatrix([[1.0, 0.0], [1.0, 1e-30]])
+        with pytest.raises(PrecisionError, match="^row 1 divided by its scale 1e\\+300 "):
+            per_scaled(m, [1.0, 1e300])
+
 
 class TestCrossAgreement:
     def test_random_agreement_sweep(self):
