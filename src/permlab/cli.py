@@ -190,16 +190,17 @@ def cmd_moments(args: argparse.Namespace) -> int:
         f"nu = {_fmt(spec.dist.nu)}",
         f"delta = {_fmt(spec.dist.delta)}",
         f"mu_log = {_fmt(rep.mu.log_mag)}",
-        f"mu = {_fmt(rep.mu.to_float())}",
+        f"mu = {_fmt_from_log(rep.mu.log_mag)}",
     ]
     if rep.vdw is not None:
         lines.append(f"vdw_log = {_fmt(rep.vdw.log_mag)}")
-        lines.append(f"vdw = {_fmt(rep.vdw.to_float())}")
-    if rep.alpha_up is not None:
-        lines.append(f"alpha_up = {_fmt(rep.alpha_up)}")
-        lines.append(f"beta_up = {_fmt(rep.beta_up)}")
-        lines.append(f"alpha_low = {_fmt(rep.alpha_low)}")
-        lines.append(f"beta_low = {_fmt(rep.beta_low)}")
+        lines.append(f"vdw = {_fmt_from_log(rep.vdw.log_mag)}")
+    if rep.alpha_beta is not None:
+        ab = rep.alpha_beta
+        lines.append(f"alpha_up = {_fmt_from_log(ab.alpha_up.log_mag)}")
+        lines.append(f"beta_up = {_fmt(ab.beta_up)}")
+        lines.append(f"alpha_low = {_fmt_from_log(ab.alpha_low.log_mag)}")
+        lines.append(f"beta_low = {_fmt(ab.beta_low)}")
     if rep.second_moment_lower is not None:
         lines.append(f"bound_low = {_fmt(rep.second_moment_lower)}")
         lines.append(f"bound_up = {_fmt(rep.second_moment_upper)}")

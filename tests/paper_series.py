@@ -64,4 +64,4 @@ def exact_second_moment_homogeneous(n: int, r: int, dist: DistributionSpec) -> f
     if n < 2:
         raise DomainError(f"closed-form ratio needs n >= 2, got n={n}")
     ab = alpha_beta(ModelSpec.homogeneous(n, r, dist))
-    return ab.alpha_up * second_moment_series(n, ab.beta_up)
+    return ab.alpha_up.to_float() * second_moment_series(n, ab.beta_up)

@@ -169,8 +169,8 @@ def test_criterion_5_sandwich_bounds():
             spec = ModelSpec(n, r, CONST1)
             ab = alpha_beta(spec)
             _, ratio = brute_second_moment_pairs(spec)
-            assert ab.alpha_low * second_moment_series(n, ab.beta_low) - 1e-9 <= ratio
-            assert ratio <= ab.alpha_up * second_moment_series(n, ab.beta_up) + 1e-9
+            assert ab.alpha_low.to_float() * second_moment_series(n, ab.beta_low) - 1e-9 <= ratio
+            assert ratio <= ab.alpha_up.to_float() * second_moment_series(n, ab.beta_up) + 1e-9
     assert not failures, f"sandwich failed at {failures}"
 
 

@@ -177,7 +177,7 @@ class TestMoments:
     def test_homogeneous_report(self, capsys):
         assert main(["moments", "--n", "3", "--r", "2", "--dist", "const:1"]) == 0
         out = capsys.readouterr().out
-        assert "mu = 1.777777777777778" in out
+        assert "mu = 1.77777777777778e+00\n" in out
         assert "vdw_log" in out
         assert "theta = 1.3591409142295225" in out
         assert "bounds = unavailable (r_low >= 6*delta/nu^2 not met" in out
@@ -186,7 +186,7 @@ class TestMoments:
     def test_heterogeneous_report(self, capsys):
         assert main(["moments", "--n", "3", "--r", "1,2,3", "--dist", "const:1"]) == 0
         out = capsys.readouterr().out
-        assert "mu = 1.3333333333333" in out
+        assert "mu = 1.33333333333333e+00\n" in out
         assert "vdw" not in out
         assert "theta" not in out
 
@@ -205,19 +205,24 @@ class TestMoments:
         assert main(["moments", "--n", "3000", "--r", "2"]) == 0
         assert "exact_ratio = inf\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("n,r,alpha", [
-        ("640000", "800", "0.0"), ("1000000", "1000", "0.0"), ("550000", "742", "2e-322")])
-    def test_alpha_below_normal_range_leaves_bounds_unavailable(self, n, r, alpha, capsys):
-        # alpha = exp(n log o) is about e^(-n/r): zero past n/r = 745, which
-        # once crashed the bounds' log, and subnormal past 708, which once
-        # printed a bound_up below exact_ratio
+    @pytest.mark.parametrize("n,r", [("550000", "742"), ("640000", "800"), ("1000000", "1000")])
+    def test_alpha_beyond_double_range_keeps_bounds(self, n, r, capsys):
+        # alpha ~ e^(-n/r) is subnormal at (550000, 742) and zero as a double
+        # past n/r = 745; it is printed from its log, and the bounds come
+        # from log alpha + beta - 1
         assert main(["moments", "--n", n, "--r", r]) == 0
         vals = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
-        assert vals["bounds"] == (f"unavailable (alpha_up = {alpha} at n={n}, r={r} "
-                                  "is below the normal double range)")
-        assert not {"alpha_up", "bound_low", "bound_up"} & set(vals)
+        assert "bounds" not in vals
+        assert int(vals["alpha_up"].partition("e")[2]) < -300
+        assert float(vals["bound_low"]) <= float(vals["exact_ratio"]) <= float(vals["bound_up"])
         assert 1.0 < float(vals["exact_ratio"]) < 2.0
-        assert {"mu", "a_n", "c_n", "theta"} <= set(vals)
+
+    @pytest.mark.parametrize("n,r,dist", [("8000", "12", "exp:1"), ("60000", "6", "const:1")])
+    def test_bounds_beyond_double_range_print_inf(self, n, r, dist, capsys):
+        # exp(log alpha + beta - 1) is about e^788 and e^1060 here
+        assert main(["moments", "--n", n, "--r", r, "--dist", dist]) == 0
+        vals = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert vals["bound_low"] == vals["bound_up"] == vals["exact_ratio"] == "inf"
 
 
 class TestSample:

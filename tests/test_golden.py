@@ -61,7 +61,7 @@ def test_sweep_csv_bytes_across_stack_sizes():
     # two, n = 14 and 15 in stacks of one
     plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
     assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == (
-        "101914e6c9ae2b7208ae06febc136acf5adb3cb377d59f8a79301fc59d9f3831")
+        "47d6d8206afa0260853b87c02142bdc8dce1de70b552b9cbf38eb0eb0fb78455")
 
 
 def test_sample_bytes_half_full_rows():
@@ -104,18 +104,18 @@ dist = exp:1
 nu = 1
 delta = 2
 mu_log = 15.121633198363906
-mu = 3691831.3671696102
+mu = 3.6918313671696e+06
 vdw_log = 15.121633198363909
-vdw = 3691831.3671696233
-alpha_up = 0.57221516965074848
+vdw = 3.6918313671696e+06
+alpha_up = 5.72215169650748e-01
 beta_up = 3.1428571428571428
-alpha_low = 0.57221516965074848
+alpha_low = 5.72215169650748e-01
 beta_low = 3.1428571428571428
 bounds = unavailable (r_low >= 6*delta/nu^2 not met: r_low=8 < 12)
-exact_ratio = 4.8774205745272932
+exact_ratio = 4.8774205745272914
 a_n = 0.8660254037844386
 c_n = 1.5
-theta = 1.0093693705332192
+theta = 1.1643731727664313
 """
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -120,14 +121,14 @@ class TestVdw:
 class TestAlphaBeta:
     def test_homogeneous_4_2(self):
         ab = alpha_beta(ModelSpec(4, (2, 2, 2, 2), CONST1))
-        assert ab.alpha_up == pytest.approx(16 / 81, rel=1e-12)
-        assert ab.alpha_low == pytest.approx(16 / 81, rel=1e-12)
+        assert ab.alpha_up.to_float() == pytest.approx(16 / 81, rel=1e-12)
+        assert ab.alpha_low.to_float() == pytest.approx(16 / 81, rel=1e-12)
         assert ab.beta_up == pytest.approx(3.0, rel=1e-12)
         assert ab.beta_low == pytest.approx(3.0, rel=1e-12)
 
     def test_homogeneous_3_2(self):
         ab = alpha_beta(ModelSpec(3, (2, 2, 2), CONST1))
-        assert ab.alpha_up == pytest.approx(27 / 64, rel=1e-12)
+        assert ab.alpha_up.to_float() == pytest.approx(27 / 64, rel=1e-12)
         assert ab.beta_up == pytest.approx(2.0, rel=1e-12)
 
     def test_homogeneous_collapses(self):
@@ -140,7 +141,7 @@ class TestAlphaBeta:
         for r in [(2, 5, 3, 6, 4, 2), (4, 4, 2, 3, 5, 6), (2, 2, 6, 6, 2, 4)]:
             spec = ModelSpec(6, r, EXP1)
             ab = alpha_beta(spec)
-            assert ab.alpha_low <= ab.alpha_up
+            assert ab.alpha_low.log_mag <= ab.alpha_up.log_mag
             assert ab.beta_low <= ab.beta_up
 
     def test_requires_r_low_2(self):
@@ -153,10 +154,18 @@ class TestAlphaBeta:
 
     def test_alpha_below_normal_range(self):
         # alpha_low is about e^(-550000/700), past the double range, while
-        # alpha_up, about e^(-275), is a normal double
-        spec = ModelSpec(550000, (700,) * 1000 + (2000,) * 549000, CONST1)
-        with pytest.raises(DomainError, match=r"^alpha_low = 0\.0 at n=550000, r=700 "):
-            alpha_beta(spec)
+        # alpha_up, about e^(-275), is a normal double; both are kept as
+        # n log1p((r - n)/(r (n - 1))), within a few ulps of the exact log
+        n = 550000
+        ab = alpha_beta(ModelSpec(n, (700,) * 1000 + (2000,) * 549000, CONST1))
+        for r, alpha in ((700, ab.alpha_low), (2000, ab.alpha_up)):
+            assert alpha.log_mag == n * math.log1p((r - n) / (r * (n - 1)))
+            with localcontext() as ctx:
+                ctx.prec = 40
+                exact = n * (Decimal(n * (r - 1)) / Decimal(r * (n - 1))).ln()
+            assert alpha.log_mag == pytest.approx(float(exact), rel=1e-15), r
+        assert ab.alpha_low.to_float() == 0.0
+        assert ab.alpha_up.to_float() > 1e-300
 
 
 class TestSecondMomentBounds:
@@ -409,6 +418,17 @@ class TestConditions:
         assert chk.theta == pytest.approx((2 / 3) * math.exp(0.5), rel=1e-12)
         assert chk.theta > 1
 
+    @pytest.mark.parametrize("dist", [EXP1, DistributionSpec.uniform(1, 2)],
+                             ids=lambda d: d.spec_string())
+    def test_theta_is_growth_of_exact_ratio(self, dist):
+        # theta = (1 - 1/r) e^{q/(r-1)} with q = delta/nu^2, against the
+        # exact ratio's growth per dimension from n = 400 to 800 at r = 8
+        ratios = [moment_report(ModelSpec.homogeneous(n, 8, dist)).exact_ratio
+                  for n in (400, 800)]
+        growth = math.exp((math.log(ratios[1]) - math.log(ratios[0])) / 400)
+        theta = condition_check(ModelSpec.homogeneous(400, 8, dist)).theta
+        assert theta == pytest.approx(growth, rel=1e-5)
+
     def test_theta_absent_for_heterogeneous_or_r1(self):
         assert condition_check(ModelSpec(3, (1, 2, 3), CONST1)).theta is None
         assert condition_check(ModelSpec.homogeneous(3, 1, CONST1)).theta is None
@@ -440,28 +460,35 @@ class TestSandwichAtAllScales:
             spec = ModelSpec(n, r, dist)
             ab = alpha_beta(spec)
             _, ratio = brute_second_moment_pairs(spec)
-            lower = ab.alpha_low * second_moment_series(n, ab.beta_low)
-            upper = ab.alpha_up * second_moment_series(n, ab.beta_up)
+            lower = ab.alpha_low.to_float() * second_moment_series(n, ab.beta_low)
+            upper = ab.alpha_up.to_float() * second_moment_series(n, ab.beta_up)
             assert lower - 1e-9 <= ratio <= upper + 1e-9
 
     def test_bracket_holds_at_large_n(self):
         # the same bracket, far beyond the pair-sum oracle, against the exact
         # ratio; compared in logs, with S from float b_j. Row counts span a
-        # band of about 1/8 of its floor, so the bracket stays narrow.
+        # band of about 1/8 of its floor, so the bracket stays narrow. The
+        # homogeneous r ~ sqrt(n) cases, where the bracket is an equality,
+        # have alpha subnormal (550000, 742) or below the double range.
         rng = np.random.default_rng(7)
         dists = [CONST1, EXP1, DistributionSpec.lognormal(0.0, 0.5)]
+        specs = []
         for n in (10, 30, 100, 300, 1000):
             for _ in range(8):
                 floor = int(rng.integers(max(2, n // 50), n))
                 top = min(n, floor + max(1, floor // 8))
                 r = tuple(int(v) for v in rng.integers(floor, top + 1, size=n))
-                spec = ModelSpec(n, r, dists[int(rng.integers(0, len(dists)))])
-                rep = moment_report(spec)
-                log_ratio = math.log(rep.exact_ratio)
-                low = math.log(rep.alpha_low) + log_second_moment_series(n, rep.beta_low)
-                up = math.log(rep.alpha_up) + log_second_moment_series(n, rep.beta_up)
-                assert low - 1e-12 <= log_ratio <= up + 1e-12, (n, spec.r_low, spec.r_up)
-                assert spec.r_low < spec.r_up
+                specs.append(ModelSpec(n, r, dists[int(rng.integers(0, len(dists)))]))
+                assert specs[-1].r_low < specs[-1].r_up
+        for n, r in ((550000, 742), (640000, 800), (10**6, 1000)):
+            specs.append(ModelSpec.homogeneous(n, r, CONST1))
+        for spec in specs:
+            n, rep = spec.n, moment_report(spec)
+            ab = rep.alpha_beta
+            log_ratio = math.log(rep.exact_ratio)
+            low = ab.alpha_low.log_mag + log_second_moment_series(n, ab.beta_low)
+            up = ab.alpha_up.log_mag + log_second_moment_series(n, ab.beta_up)
+            assert low - 1e-12 <= log_ratio <= up + 1e-12, (n, spec.r_low, spec.r_up)
 
 
 class TestMomentReport:
@@ -474,7 +501,7 @@ class TestMomentReport:
 
     def test_small_r_report_degrades_gracefully(self):
         rep = moment_report(ModelSpec(3, (1, 2, 3), CONST1))
-        assert rep.alpha_up is None
+        assert rep.alpha_beta is None
         assert rep.vdw is None
         assert rep.theta is None
         assert rep.bounds_failure is not None
@@ -482,7 +509,7 @@ class TestMomentReport:
 
     def test_hypothesis_failure_recorded(self):
         rep = moment_report(ModelSpec.homogeneous(3, 2, CONST1))
-        assert rep.alpha_up is not None
+        assert rep.alpha_beta is not None
         assert rep.second_moment_lower is None
         assert "6*delta/nu^2" in rep.bounds_failure
         assert rep.exact_ratio == pytest.approx(1.125, rel=1e-12)

@@ -71,6 +71,13 @@ class TestTruncatedExponential:
                 assert float(abs(Decimal(got) - want) / want) < 1e-12, (n, r, dist)
         assert finite >= 8
 
+    @pytest.mark.parametrize("n,r", [(10**5, 316), (520000, 721)])
+    def test_ratio_at_large_n_along_sqrt(self, n, r):
+        # r = isqrt(n), where alpha ~ e^{-n/r} is near or past the double
+        # range; n log o must not carry o's rounding times n
+        want = truncated_exponential_ratio(n, r, 1.0)
+        assert float(abs(Decimal(ratio(n, r)) - want) / want) < 1e-12
+
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.spec_string())
     def test_full_rows_give_partial_sum_of_exponential(self, dist):
         # r = n: o = 1 and d = q, so the ratio is sum_{j<=n} (q - 1)^j / j!
