@@ -372,11 +372,16 @@ def concentration_sweep(plan: SweepPlan, *, workers: int | None = None) -> list[
 
 
 def _csv_cell(value) -> str:
+    """A cell's text; one holding a comma, quote or line break is quoted,
+    its quotes doubled (RFC 4180), e.g. the dist cell ``"lognormal:0,1"``."""
     if value is None:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_line(row: SweepRow) -> str:

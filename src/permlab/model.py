@@ -317,10 +317,17 @@ class _StackSampler:
         return _supports(picks, self.spec.r, n), w
 
 
+@functools.lru_cache(maxsize=8)
+def _trial_sampler(spec: ModelSpec) -> _StackSampler:
+    """The sampler single trials of ``spec`` share: each call writes its
+    trial's state before it draws, as the trials of a span do."""
+    return _StackSampler(spec)
+
+
 def _sample_trial(spec: ModelSpec, seed: TrialSeed) -> tuple[np.ndarray, np.ndarray]:
     """The (X, W) stacks of one trial: a stack of one in ``trial_rng``'s state."""
     state = trial_rng(seed).bit_generator.state
-    return _StackSampler(spec)(np.array([_struct_words(state)], dtype=np.uint64))
+    return _trial_sampler(spec)(np.array([_struct_words(state)], dtype=np.uint64))
 
 
 def sample_constrained_matrix(

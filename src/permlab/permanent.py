@@ -4,17 +4,20 @@ Two kernels: a direct sum over permutations (the correctness oracle, n <= 10)
 and Glynn's formula, a signed sum over 2^(n-1) column sign patterns, in one
 double-precision pass (the fast path, n <= 30). On a nonnegative matrix no
 Glynn term exceeds prod_i rowsum_i, so little cancels: on row-rescaled trial
-matrices the relative error is about 3e-14 at n = 20 and 2e-13 at n = 24. A
+matrices the relative error measured at most 5e-14 at n = 16-18, 9e-14
+at n = 20 and 1.3e-13 at n = 21-24. A
 result inside the pass's rounding bound is settled on the support: exactly
 zero without a perfect matching, an error with one. Both kernels are
 deterministic: repeated calls on the same matrix are bit-identical.
 
-The Glynn pass handles its high sign patterns in chunks. A chunk's table of
-low row sums plus base sums is one stacked product [1, base] @ [low; 1],
-exact in both products, so every entry is the single rounding of low +
-base; base sums stay one product per pattern, signed sums one np.vecdot
-per chunk (numpy's per-row dot), added in pattern order. The pass therefore
-equals the one-pattern-at-a-time loop bit for bit.
+The Glynn pass handles its high sign patterns in chunks. A term's factor
+over rows is formed a group of rows at a time (one row up to n = 16, three
+above): a chunk's table is one stacked product of each pattern's base-sum
+coefficients with each group's low-row-sum products, base sums stay one
+product per pattern, signed sums one np.vecdot per chunk (numpy's per-row
+dot), added in pattern order. The pass therefore equals the
+one-pattern-at-a-time loop bit for bit; with groups of one, each table
+entry is the single rounding of low + base.
 """
 
 from __future__ import annotations
@@ -35,11 +38,16 @@ RYSER_MAX_N = 30
 
 # Sign patterns split into a low block over columns 0..b-1, evaluated at once
 # as a table of signed row sums, and the high columns, taken H at a time. Each
-# numpy call covers a pass's m matrices and H patterns, whose (m, n, H,
-# 2^(b-1)) table of at most _CHUNK_ENTRIES doubles (1 MB) stays in L2. H = 4
-# at n = 14-16 and 2 above timed best at n = 16-22 (H = 1 and 8 were slower).
+# numpy call covers a pass's m matrices and H patterns, whose (m, ceil(n/g),
+# H, 2^(b-1)) table of at most _CHUNK_ENTRIES doubles (1 MB) stays in L2:
+# H = 4 at n = 14-16 timed best (H = 1 and 8 were slower). Rows go in groups
+# of g = 3 above _UNGROUPED_MAX_N, which about halves passes at n = 17-24
+# (g = 2 and 4 were slower, H = 4 and 16 no faster than 8). Grouping would
+# speed n = 13-16 too, but its sums round differently, so those sizes keep
+# the bits they had.
 _BLOCK_BITS = 12
 _CHUNK_ENTRIES = 1 << 17
+_UNGROUPED_MAX_N = 16
 
 _EPS = float(np.finfo(float).eps)  # twice the unit roundoff u
 _PERM_CHUNK = 65536
@@ -78,27 +86,53 @@ def _low_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _pass_shape(n: int) -> tuple[int, int]:
-    """(stack, chunk): the largest power of two of the 2^(n-b) high patterns,
-    then the most matrices whose table fits _CHUNK_ENTRIES."""
+def _pass_shape(n: int) -> tuple[int, int, int]:
+    """(stack, chunk, group): the rows go in groups of g (see
+    _chunk_products); then the largest power of two of the 2^(n-b) high
+    patterns, then the most matrices whose table of ceil(n/g) group rows
+    fits _CHUNK_ENTRIES."""
     b = min(n, _BLOCK_BITS)
-    fit = max(1, _CHUNK_ENTRIES // (n << (b - 1)))
+    group = 1 if n <= _UNGROUPED_MAX_N else 3
+    fit = max(1, _CHUNK_ENTRIES // (-(-n // group) << (b - 1)))
     chunk = min(1 << (n - b), 1 << (fit.bit_length() - 1))
-    return fit // chunk, chunk
+    return fit // chunk, chunk, group
+
+
+@functools.cache
+def _subsets(group: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets of a group's members, smallest first and lexicographic
+    within a size: the empty one, then member j's at 1 + j. Reversed, the
+    order lists each one's complement."""
+    return tuple(u for k in range(group + 1) for u in itertools.combinations(range(group), k))
+
+
+def _subset_products(out: np.ndarray, group: int) -> None:
+    """Fills out[t], for each subset t of two or more members (``_subsets``
+    order), with the product of its members' out[1 + j], in increasing j."""
+    subsets = _subsets(group)
+    for t, u in enumerate(subsets[1 + group:], 1 + group):
+        np.multiply(out[subsets.index(u[:-1])], out[1 + u[-1]], out=out[t])
 
 
 def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
     """For each chunk of high sign patterns of a (B, n, n) stack, in pattern
     order, its first pattern h0 and the (B, H, 2^(b-1)) products over rows
-    of the low table plus each pattern's base row sums a[:, :, b:] @ signs.
+    of the low table L plus each pattern's base row sums B = a[:, :, b:] @
+    signs.
 
-    A chunk's table is one stacked product [1, base_ih] @ [low_i; 1]: both
-    products in an entry are exact, so it is the one rounding of
-    low + base, the bits a broadcast add gives. The base sums stay one
-    product per pattern, since one product over a chunk's patterns changes
-    their last bits. No buffer grows with 2^(n-b): the table holds one
-    chunk, and the base sums one span, the most patterns (a power of two, at
-    least a chunk) whose sums fit _CHUNK_ENTRIES: all of them up to n = 24.
+    Row i = j k + q, k = ceil(n/g), is member j of group q; rows past n
+    are padding, L = 1 and B = 0. A group's factor prod_i (L_i + B_i) is
+    sum_u C_u P_u over the subsets u of its members (``_subsets`` order),
+    with P_u = prod_{i in u} L_i and C_u = prod_{i not in u} B_i. P is one
+    (2^g, 2^(b-1)) block per group and matrix; C is built per span of base
+    sums; a chunk's table is one stacked product C @ P. At g = 1 that is
+    [B_i, 1] @ [1; L_i], exact in both products, so every entry is the one
+    rounding of L_i + B_i. Larger groups move less memory per term but
+    round differently; see _UNGROUPED_MAX_N for where they start.
+    The base sums stay one product per pattern, since one product over a
+    chunk's patterns changes their last bits. No buffer grows with
+    2^(n-b): the table holds one chunk, and a span the most patterns (a
+    power of two, at least a chunk) whose coefficients C fit _CHUNK_ENTRIES.
     """
     signs = _low_signs(b)[0]
     m, n, _ = a.shape
@@ -106,27 +140,37 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
         # one high pattern, whose zero base leaves the low table as it is
         yield 0, np.prod(a @ signs.T, axis=1)[:, None]
         return
-    chunk = _pass_shape(n)[1]
-    # one block holds the [low_i; 1] rows and the table: as two blocks of
-    # this size, malloc returned them to the system after every pass, which
-    # then faulted them in again (about 300 page faults a pass at n = 20)
-    work = np.empty((m, n, 2 + chunk, len(signs)))
-    rows, table = work[:, :, :2], work[:, :, 2:]
-    np.matmul(a[:, :, :b], signs.T, out=rows[:, :, 0])
-    rows[:, :, 1] = 1.0
-    coefs = np.ones((m, n, chunk, 2))
-    prods = np.empty((m, chunk, len(signs)))
+    _, chunk, group = _pass_shape(n)
+    rows, nsub, width = -(-n // group), 1 << group, len(signs)
+    # one block holds P and the table: as two blocks of this size, malloc
+    # returned them to the system after every pass, which then faulted them
+    # in again (about 300 page faults a pass at n = 20)
+    work = np.empty(m * rows * (nsub + chunk) * width)
+    lows = work[:m * nsub * rows * width].reshape(m, nsub, rows, width)
+    table = work[lows.size:].reshape(m, rows, chunk, width)
+    lows[:, 0] = 1.0
+    members = lows[:, 1:1 + group].reshape(m, group * rows, width)
+    np.matmul(a[:, :, :b], signs.T, out=members[:, :n])
+    members[:, n:] = 1.0
+    _subset_products(lows.swapaxes(0, 1), group)
+    lows = lows.transpose(0, 2, 1, 3)
+    prods = np.empty((m, chunk, width))
     a_hi = a[:, :, b:]
     shifts = np.arange(n - b)
-    fit = max(1, _CHUNK_ENTRIES // (m * n))
+    fit = max(1, _CHUNK_ENTRIES // (m * rows * nsub))
     span = min(1 << (n - b), max(chunk, 1 << (fit.bit_length() - 1)))
-    bases = np.empty((span, m, n))
+    bases = np.zeros((span, m, group * rows))
+    coefs = np.empty((m, rows, span, nsub))
+    # by_complement[t] is C at t's complement: the product of B over t's members
+    by_complement = coefs.transpose(3, 0, 1, 2)[::-1]
+    by_complement[0] = 1.0
     for s0 in range(0, 1 << (n - b), span):
         for j, d in enumerate(1.0 - 2 * ((np.arange(s0, s0 + span)[:, None] >> shifts) & 1)):
-            np.matmul(a_hi, d, out=bases[j])
+            np.matmul(a_hi, d, out=bases[j, :, :n])
+        by_complement[1:1 + group] = bases.reshape(span, m, group, rows).transpose(2, 1, 3, 0)
+        _subset_products(by_complement, group)
         for c0 in range(0, span, chunk):
-            coefs[:, :, :, 1] = bases[c0:c0 + chunk].transpose(1, 2, 0)
-            np.matmul(coefs, rows, out=table)
+            np.matmul(coefs[:, :, c0:c0 + chunk], lows, out=table)
             yield s0 + c0, np.multiply.reduce(table, axis=1, out=prods)
 
 
@@ -142,19 +186,25 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, errs), one entry per matrix. For nonnegative ``a`` no
     term exceeds P = prod_i rowsum_i, so the rounding error is below
-    err = 2u (n^2 + 2n + 2^(b-1) + 2^(n-b)) P, u the unit roundoff: each term
-    carries about (n^2 + 2n) u P, and the sums over 2^(b-1) low and 2^(n-b)
-    high patterns add the rest after the 2^-(n-1) scaling.
+    err = 2u (n^2 + ceil(n/g) (2^g + 2g - 2) + 2^(b-1) + 2^(n-b)) P, u the
+    unit roundoff, g the group size: each term carries about n^2 u P from
+    its row sums and (2^g + 2g - 2) u P per group (g - 1 roundings in each
+    of C_u and P_u, one in their product, 2^g - 1 in the sum over u, with
+    sum_u |C_u P_u| = prod_i (|L_i| + |B_i|) <= P); the sums over 2^(b-1)
+    low and 2^(n-b) high patterns add the rest after the 2^-(n-1) scaling.
+    At g = 1 the bound is 2u (n^2 + 2n + 2^(b-1) + 2^(n-b)) P.
     """
     n = a.shape[1]
     b = min(n, _BLOCK_BITS)
+    group = _pass_shape(n)[2]
     sign_low = _low_signs(b)[1]
     totals = np.zeros(len(a))
     for h0, prods in _chunk_products(a, b):
         for j, sums in enumerate(np.vecdot(sign_low, prods).T):
             (np.subtract if (h0 + j).bit_count() & 1 else np.add)(totals, sums, out=totals)
     rowprods = np.prod(a.sum(axis=2), axis=1)
-    errs = (n * n + 2 * n + len(sign_low) + (1 << (n - b))) * _EPS * rowprods
+    per_term = n * n + -(-n // group) * ((1 << group) + 2 * group - 2)
+    errs = (per_term + len(sign_low) + (1 << (n - b))) * _EPS * rowprods
     return np.ldexp(totals, 1 - n), errs
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import tracemalloc
@@ -17,6 +19,7 @@ from permlab.experiments import (
     SweepPlan,
     TrialBatch,
     concentration_sweep,
+    csv_text,
     estimate_moments,
     jackknife_se_of_variance,
     resolve_r_rule,
@@ -277,7 +280,7 @@ class TestBatchEqualsSingle:
     and span boundaries."""
 
     @pytest.mark.parametrize("dist", BATCH_LAWS, ids=lambda d: d.kind)
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 13, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 13, 16, 18])
     def test_ratios_equal_run_trial(self, n, dist, monkeypatch):
         # rows with r_i = 1 and r_i = n, the rest mixed
         r = tuple([1, n] + [1 + (3 * i) % n for i in range(n - 2)])[:n]
@@ -299,13 +302,13 @@ class TestBatchEqualsSingle:
         assert np.array_equal(estimate_moments(spec, trials, 21, workers=1).ratios, single)
 
     def test_stack_sizes(self):
-        # one budget: the stacked (stack, n, chunk, 2^(b-1)) table fits it
-        assert [_pass_shape(n) for n in (1, 3, 6, 8, 11, 12, 13, 14, 16, 20)] == [
-            (131072, 1), (10922, 1), (682, 1), (128, 1), (11, 1), (5, 1), (2, 2),
-            (1, 4), (1, 4), (1, 2)]
+        # one budget: the stacked (stack, n/g, chunk, 2^(b-1)) table fits it
+        assert [_pass_shape(n) for n in (1, 3, 6, 8, 11, 12, 13, 14, 16, 17, 20, 30)] == [
+            (131072, 1, 1), (10922, 1, 1), (682, 1, 1), (128, 1, 1), (11, 1, 1), (5, 1, 1),
+            (2, 2, 1), (1, 4, 1), (1, 4, 1), (1, 8, 3), (1, 8, 3), (1, 4, 3)]
         for n in range(1, 31):
-            stack, chunk = _pass_shape(n)
-            table = n << (min(n, _BLOCK_BITS) - 1)
+            stack, chunk, group = _pass_shape(n)
+            table = -(-n // group) << (min(n, _BLOCK_BITS) - 1)
             assert stack * chunk * table <= max(_CHUNK_ENTRIES, table), n
             assert stack >= 1, n
 
@@ -400,6 +403,17 @@ class TestSweepAndCsv:
         cols = CSV_HEADER.split(",")
         assert row[cols.index("var_ratio")] == "0"
         assert row[cols.index("se_var")] == "0"
+
+    def test_comma_in_dist_is_one_quoted_cell(self):
+        # `sweep --n 3,4 --r-rule const:2 --dist lognormal:0,1` and a uniform
+        # row: a csv reader sees 17 fields in each, the spec string whole
+        plan = SweepPlan((3, 4), "const:2", DistributionSpec.lognormal(0.0, 1.0), 5, 1)
+        uniform = estimate_moments(ModelSpec.homogeneous(3, 2, DistributionSpec.uniform(0.5, 2.0)), 5, 1)
+        text = csv_text([*concentration_sweep(plan), summary_row(uniform)])
+        records = list(csv.reader(io.StringIO(text)))
+        assert [len(rec) for rec in records] == [17] * 4
+        assert [rec[3] for rec in records[1:]] == ["lognormal:0,1"] * 2 + ["uniform:0.5,2"]
+        assert text.splitlines()[1].split(",")[3:5] == ['"lognormal:0', '1"']
 
     def test_rerun_is_byte_identical(self, tmp_path):
         plan = SweepPlan(ns=(4, 6), r_rule="const:3", dist=CONST1, trials=40, master_seed=7)

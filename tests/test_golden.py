@@ -39,10 +39,11 @@ def test_mc_csv_bytes():
 def test_mc_csv_bytes_across_seed_pieces():
     # `permlab mc --n 5 --r 2 --dist lognormal:0,1 --trials 9000 --seed 23`
     # prints this; the span crosses two seed pieces and many trial stacks,
-    # and W takes the normal ziggurat
+    # and W takes the normal ziggurat. The dist cell is quoted (it holds a
+    # comma); the text is otherwise that of b8082b33...
     batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec.lognormal(0.0, 1.0)), 9000, 23)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == (
-        "b8082b33869fb38b1f20174bd0ad82e340304523fbca736a69f7ebef30323677")
+        "d068f3fa6fb09167bcd83dfd39ee88b414ae8618fb1b14433d13a82a9986e5e8")
 
 
 def test_sample_bytes():
@@ -58,10 +59,11 @@ def test_sample_bytes():
 def test_sweep_csv_bytes_across_stack_sizes():
     # `permlab sweep --n 13,14,15 --r-rule power:0.75 --dist lognormal:0,1
     # --trials 8 --seed 5` prints this; n = 13 samples trials in stacks of
-    # two, n = 14 and 15 in stacks of one
+    # two, n = 14 and 15 in stacks of one. The dist cell is quoted (it holds
+    # a comma); the text is otherwise that of 47d6d820...
     plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
     assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == (
-        "47d6d8206afa0260853b87c02142bdc8dce1de70b552b9cbf38eb0eb0fb78455")
+        "dd2380f1097898b9c86f832e9657792855556abc9dfa06fa65f4469d932e4fba")
 
 
 def test_sample_bytes_half_full_rows():

@@ -16,7 +16,7 @@ import pytest
 
 from permlab.core import DenseMatrix, DistributionSpec, ModelSpec
 from permlab.model import TrialSeed, sample_constrained_matrix
-from permlab.permanent import per_ryser, per_scaled
+from permlab.permanent import _glynn_pass, per_ryser, per_scaled
 
 INT_EXACT_MAX_N = 20
 
@@ -93,3 +93,29 @@ def test_per_scaled_relative_error_on_trial_matrices(n):
         log_rel = v.log_mag - float(np.log(scales).sum()) - math.log(ref)
         worst = max(worst, abs(math.expm1(log_rel)))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("r_of_n", [lambda n: 3, lambda n: n // 2], ids=["r3", "rhalf"])
+def test_per_ryser_exact_on_01_in_groups(r_of_n):
+    # n = 18 runs the grouped pass; its r = n/2 matrices here miss the 1e-14
+    # above by a little (2.0e-14), as the ungrouped pass did (1.8e-14), so
+    # the count is held to the pass's own rounding bound
+    n = 18
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(2):
+        x = random_01(rng, n, r_of_n(n))
+        exact = exact_per01(x)
+        v = per_ryser(DenseMatrix(x))
+        assert round(v.to_float()) == exact
+        assert abs(v.to_float() - exact) <= _glynn_pass(x[None])[1][0]
+
+
+@pytest.mark.parametrize("n", [14, 17, 18, 20])
+def test_glynn_pass_within_its_error_bound(n):
+    # below and above the sizes whose rows go in groups
+    r = math.ceil(n ** 0.75)
+    spec = ModelSpec(n, (r,) * n, DistributionSpec.from_string("exp:1"))
+    a = np.stack([sample_constrained_matrix(spec, TrialSeed(77, i))[1].entries / r for i in range(2)])
+    values, errs = _glynn_pass(a)
+    refs = np.array([per_float(y) for y in a])
+    assert np.all(np.abs(values - refs) <= errs), (values, refs, errs)
