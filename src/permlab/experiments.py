@@ -173,7 +173,8 @@ def _resolve_workers(workers: int | None) -> int:
     """Worker count from the argument, else $PERMLAB_WORKERS, else 1.
 
     Counts <= 0 are rejected; larger ones are capped at the CPUs this
-    process may run on.
+    process may run on, or at the host's CPUs where the OS cannot tell
+    (no os.sched_getaffinity on macOS and Windows).
     """
     if workers is None:
         env = os.environ.get("PERMLAB_WORKERS")
@@ -185,7 +186,8 @@ def _resolve_workers(workers: int | None) -> int:
             raise ValueError(f"bad PERMLAB_WORKERS value {env!r}") from None
     if workers <= 0:
         raise ValueError(f"worker count must be positive, got {workers}")
-    return min(workers, len(os.sched_getaffinity(0)))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, usable or 1)
 
 
 def ProcessPoolExecutor(max_workers: int):

@@ -4,20 +4,18 @@ Two kernels: a direct sum over permutations (the correctness oracle, n <= 10)
 and Glynn's formula, a signed sum over 2^(n-1) column sign patterns, in one
 double-precision pass (the fast path, n <= 30). On a nonnegative matrix no
 Glynn term exceeds prod_i rowsum_i, so little cancels: on row-rescaled trial
-matrices the relative error measured at most 5e-14 at n = 16-18, 9e-14
-at n = 20 and 1.3e-13 at n = 21-24. A
-result inside the pass's rounding bound is settled on the support: exactly
-zero without a perfect matching, an error with one. Both kernels are
-deterministic: repeated calls on the same matrix are bit-identical.
+matrices the relative error measured at most 5e-14 at n = 13-18, 9e-14 at
+n = 20 and 1.3e-13 at n = 21-24. A result inside the pass's rounding bound
+is settled on the support: exactly zero without a perfect matching, an
+error with one. Both kernels are deterministic: repeated calls on the same
+matrix are bit-identical.
 
 The Glynn pass handles its high sign patterns in chunks. A term's factor
-over rows is formed a group of rows at a time (one row up to n = 16, three
-above): a chunk's table is one stacked product of each pattern's base-sum
-coefficients with each group's low-row-sum products, base sums stay one
-product per pattern, signed sums one np.vecdot per chunk (numpy's per-row
-dot), added in pattern order. The pass therefore equals the
-one-pattern-at-a-time loop bit for bit; with groups of one, each table
-entry is the single rounding of low + base.
+over rows is formed three rows at a time: a chunk's table is one stacked
+product of each pattern's base-sum coefficients with each group's
+low-row-sum products, base sums stay one product per pattern, signed sums
+one np.vecdot per chunk (numpy's per-row dot), added in pattern order. The
+pass therefore equals the one-pattern-at-a-time loop bit for bit.
 """
 
 from __future__ import annotations
@@ -39,15 +37,12 @@ RYSER_MAX_N = 30
 # Sign patterns split into a low block over columns 0..b-1, evaluated at once
 # as a table of signed row sums, and the high columns, taken H at a time. Each
 # numpy call covers a pass's m matrices and H patterns, whose (m, ceil(n/g),
-# H, 2^(b-1)) table of at most _CHUNK_ENTRIES doubles (1 MB) stays in L2:
-# H = 4 at n = 14-16 timed best (H = 1 and 8 were slower). Rows go in groups
-# of g = 3 above _UNGROUPED_MAX_N, which about halves passes at n = 17-24
-# (g = 2 and 4 were slower, H = 4 and 16 no faster than 8). Grouping would
-# speed n = 13-16 too, but its sums round differently, so those sizes keep
-# the bits they had.
+# H, 2^(b-1)) table of at most _CHUNK_ENTRIES doubles (1 MB) stays in L2.
+# Rows go in groups of g = 3 whenever there are high patterns, which about
+# halves passes at n = 17-24 (g = 2 and 4 were slower, H = 4 and 16 no
+# faster than 8) and, through larger stacks, speeds trials at n = 13-16.
 _BLOCK_BITS = 12
 _CHUNK_ENTRIES = 1 << 17
-_UNGROUPED_MAX_N = 16
 
 _EPS = float(np.finfo(float).eps)  # twice the unit roundoff u
 _PERM_CHUNK = 65536
@@ -87,12 +82,12 @@ def _low_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pass_shape(n: int) -> tuple[int, int, int]:
-    """(stack, chunk, group): the rows go in groups of g (see
-    _chunk_products); then the largest power of two of the 2^(n-b) high
-    patterns, then the most matrices whose table of ceil(n/g) group rows
-    fits _CHUNK_ENTRIES."""
+    """(stack, chunk, group): the rows go in groups of g, three when there
+    are high patterns (see _chunk_products) and one in the one-table pass;
+    then the largest power of two of the 2^(n-b) high patterns, then the
+    most matrices whose table of ceil(n/g) group rows fits _CHUNK_ENTRIES."""
     b = min(n, _BLOCK_BITS)
-    group = 1 if n <= _UNGROUPED_MAX_N else 3
+    group = 1 if n == b else 3
     fit = max(1, _CHUNK_ENTRIES // (-(-n // group) << (b - 1)))
     chunk = min(1 << (n - b), 1 << (fit.bit_length() - 1))
     return fit // chunk, chunk, group
@@ -120,19 +115,17 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
     of the low table L plus each pattern's base row sums B = a[:, :, b:] @
     signs.
 
-    Row i = j k + q, k = ceil(n/g), is member j of group q; rows past n
-    are padding, L = 1 and B = 0. A group's factor prod_i (L_i + B_i) is
-    sum_u C_u P_u over the subsets u of its members (``_subsets`` order),
-    with P_u = prod_{i in u} L_i and C_u = prod_{i not in u} B_i. P is one
-    (2^g, 2^(b-1)) block per group and matrix; C is built per span of base
-    sums; a chunk's table is one stacked product C @ P. At g = 1 that is
-    [B_i, 1] @ [1; L_i], exact in both products, so every entry is the one
-    rounding of L_i + B_i. Larger groups move less memory per term but
-    round differently; see _UNGROUPED_MAX_N for where they start.
-    The base sums stay one product per pattern, since one product over a
-    chunk's patterns changes their last bits. No buffer grows with
-    2^(n-b): the table holds one chunk, and a span the most patterns (a
-    power of two, at least a chunk) whose coefficients C fit _CHUNK_ENTRIES.
+    Rows go in groups of g = 3: row i = j k + q, k = ceil(n/g), is member
+    j of group q; rows past n are padding, L = 1 and B = 0. A group's
+    factor prod_i (L_i + B_i) is sum_u C_u P_u over the subsets u of its
+    members (``_subsets`` order), with P_u = prod_{i in u} L_i and C_u =
+    prod_{i not in u} B_i. P is one (2^g, 2^(b-1)) block per group and
+    matrix; C is built per span of base sums; a chunk's table is one
+    stacked product C @ P. The base sums stay one product per pattern,
+    since one product over a chunk's patterns changes their last bits.
+    No buffer grows with 2^(n-b): the table holds one chunk, and a span
+    the most patterns (a power of two, at least a chunk) whose coefficients
+    C fit _CHUNK_ENTRIES.
     """
     signs = _low_signs(b)[0]
     m, n, _ = a.shape
@@ -187,12 +180,12 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (values, errs), one entry per matrix. For nonnegative ``a`` no
     term exceeds P = prod_i rowsum_i, so the rounding error is below
     err = 2u (n^2 + ceil(n/g) (2^g + 2g - 2) + 2^(b-1) + 2^(n-b)) P, u the
-    unit roundoff, g the group size: each term carries about n^2 u P from
-    its row sums and (2^g + 2g - 2) u P per group (g - 1 roundings in each
-    of C_u and P_u, one in their product, 2^g - 1 in the sum over u, with
-    sum_u |C_u P_u| = prod_i (|L_i| + |B_i|) <= P); the sums over 2^(b-1)
-    low and 2^(n-b) high patterns add the rest after the 2^-(n-1) scaling.
-    At g = 1 the bound is 2u (n^2 + 2n + 2^(b-1) + 2^(n-b)) P.
+    unit roundoff, g the group size (1 in the one-table pass): each term
+    carries about n^2 u P from its row sums and (2^g + 2g - 2) u P per
+    group (g - 1 roundings in each of C_u and P_u, one in their product,
+    2^g - 1 in the sum over u, with sum_u |C_u P_u| = prod_i (|L_i| +
+    |B_i|) <= P); the sums over 2^(b-1) low and 2^(n-b) high patterns add
+    the rest after the 2^-(n-1) scaling.
     """
     n = a.shape[1]
     b = min(n, _BLOCK_BITS)

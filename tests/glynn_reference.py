@@ -2,13 +2,13 @@
 ``permlab.permanent._glynn_pass``.
 
 This is the pass before high sign patterns were grouped into chunks: one
-product per high pattern. Rows go in groups of the kernel's size g, and a
-group's factor prod (L_i + B_i) is sum_u C_u P_u over the subsets u of its
-members, each product taken here straight from its factors. The chunked
-pass performs the same roundings in the same order, so its values and errs
-must equal these bit for bit. At g = 1 the factor is [B_i, 1] @ [1; L_i],
-the one rounding of L_i + B_i, so the pass is the broadcast add of low
-table and base sums it always was.
+product per high pattern. Rows go in groups of the kernel's size g (three
+whenever there are high patterns), and a group's factor prod (L_i + B_i) is
+sum_u C_u P_u over the subsets u of its members, each product taken here
+straight from its factors. The chunked pass performs the same roundings in
+the same order, so its values and errs must equal these bit for bit. In
+the one-table pass (n <= 12, g = 1) the factor is [B_i, 1] @ [1; L_i] with
+B_i = 0, which leaves each low row sum as it is.
 """
 
 import numpy as np

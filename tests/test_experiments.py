@@ -11,6 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from permlab import experiments
+from permlab.cli import main
 from permlab.core import DistributionSpec, ModelSpec, SizeLimitError
 from permlab.experiments import (
     CSV_HEADER,
@@ -252,11 +253,19 @@ class TestWorkerCount:
             _resolve_workers(None)
 
     def test_capped_at_usable_cpus(self, monkeypatch):
-        cpus = len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert _resolve_workers(10_000) == cpus
         monkeypatch.setenv("PERMLAB_WORKERS", "10000")
         assert _resolve_workers(None) == cpus
         assert _resolve_workers(1) == 1
+
+    def test_without_affinity_capped_at_host_cpus(self, monkeypatch, capsys):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        assert _resolve_workers(10_000) == os.cpu_count()
+        assert _resolve_workers(1) == 1
+        assert main(["mc", "--n", "3", "--r", "2", "--trials", "10"]) == 0
+        assert capsys.readouterr().out.startswith("n,r_low,")
 
     def test_pool_capped_at_span_count(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -303,9 +312,10 @@ class TestBatchEqualsSingle:
 
     def test_stack_sizes(self):
         # one budget: the stacked (stack, n/g, chunk, 2^(b-1)) table fits it
-        assert [_pass_shape(n) for n in (1, 3, 6, 8, 11, 12, 13, 14, 16, 17, 20, 30)] == [
+        # rows go in groups of three in every pass with high patterns (n >= 13)
+        assert [_pass_shape(n) for n in (1, 3, 6, 8, 11, 12, 13, 14, 15, 16, 17, 20, 30)] == [
             (131072, 1, 1), (10922, 1, 1), (682, 1, 1), (128, 1, 1), (11, 1, 1), (5, 1, 1),
-            (2, 2, 1), (1, 4, 1), (1, 4, 1), (1, 8, 3), (1, 8, 3), (1, 4, 3)]
+            (6, 2, 3), (3, 4, 3), (1, 8, 3), (1, 8, 3), (1, 8, 3), (1, 8, 3), (1, 4, 3)]
         for n in range(1, 31):
             stack, chunk, group = _pass_shape(n)
             table = -(-n // group) << (min(n, _BLOCK_BITS) - 1)

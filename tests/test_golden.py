@@ -7,12 +7,19 @@ pins were recorded, so a change to seeding, sampling, the kernel or the CSV
 format that keeps every self-comparison shows up here. A deliberate numeric
 break updates the pins and is documented in the README's reproducibility
 contract and in CHANGES.md.
+
+Outputs that pass through BLAS products (the Glynn pass's low-block and
+base sums, the jackknife's dot) sum in the order of the OpenBLAS kernel the
+CPU selects, so those pins are kept per kernel family. A family with no
+recorded pin fails, naming itself: record its pins from a known-good build.
 """
 
 import ast
+import ctypes
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import permlab
@@ -29,11 +36,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _openblas_core() -> str:
+    """The kernel family of numpy's bundled OpenBLAS in this process, as
+    OpenBLAS names it (``OPENBLAS_CORETYPE`` can force one). This build runs
+    Zen on Haswell's kernels and names Prescott's "Katmai"."""
+    numpy_dir = Path(np.__file__).parent
+    libs = sorted([*numpy_dir.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                   *numpy_dir.glob(".dylibs/libscipy_openblas64_*")])
+    if not libs:
+        return "unknown (numpy has no bundled scipy-openblas)"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+OPENBLAS_CORE = _openblas_core()
+
+
+def _pinned(pins: dict[str, str]) -> str:
+    """The pin recorded for this process's OpenBLAS kernel family."""
+    if OPENBLAS_CORE not in pins:
+        pytest.fail(f"no pin recorded for OpenBLAS core {OPENBLAS_CORE!r}")
+    return pins[OPENBLAS_CORE]
+
+
 def test_mc_csv_bytes():
     # `permlab mc --n 4 --r 2 --dist exp:1 --trials 400 --seed 7` prints this
     batch = estimate_moments(ModelSpec.homogeneous(4, 2, DistributionSpec.exponential(1.0)), 400, 7)
-    assert _sha256(csv_text([summary_row(batch)]).encode()) == (
-        "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27")
+    assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
+        "SkylakeX": "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27",
+        "Haswell": "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27",
+        "Nehalem": "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27",
+        "Sandybridge": "f9bebc6c152ade72672ee684bb20d2ba5b66b0cdeb07322de4c134638b26121e",
+        "Katmai": "33d1ca08fdb1aced726f12b8eb10f002243a9d16d412242509b3020d4f370465",
+    })
 
 
 def test_mc_csv_bytes_across_seed_pieces():
@@ -42,8 +78,13 @@ def test_mc_csv_bytes_across_seed_pieces():
     # and W takes the normal ziggurat. The dist cell is quoted (it holds a
     # comma); the text is otherwise that of b8082b33...
     batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec.lognormal(0.0, 1.0)), 9000, 23)
-    assert _sha256(csv_text([summary_row(batch)]).encode()) == (
-        "d068f3fa6fb09167bcd83dfd39ee88b414ae8618fb1b14433d13a82a9986e5e8")
+    assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
+        "SkylakeX": "d068f3fa6fb09167bcd83dfd39ee88b414ae8618fb1b14433d13a82a9986e5e8",
+        "Haswell": "02d9e2d12701d611616b71adee0cf14361d448ae3e36b4d0d99ee5f5ad3464c9",
+        "Nehalem": "9a6304388849fe14761b3ac370d4701797f4da05b1d08af45c31e386a0e283e3",
+        "Sandybridge": "02d9e2d12701d611616b71adee0cf14361d448ae3e36b4d0d99ee5f5ad3464c9",
+        "Katmai": "9a6304388849fe14761b3ac370d4701797f4da05b1d08af45c31e386a0e283e3",
+    })
 
 
 def test_sample_bytes():
@@ -59,11 +100,16 @@ def test_sample_bytes():
 def test_sweep_csv_bytes_across_stack_sizes():
     # `permlab sweep --n 13,14,15 --r-rule power:0.75 --dist lognormal:0,1
     # --trials 8 --seed 5` prints this; n = 13 samples trials in stacks of
-    # two, n = 14 and 15 in stacks of one. The dist cell is quoted (it holds
-    # a comma); the text is otherwise that of 47d6d820...
+    # six, n = 14 of three and n = 15 of one. Rows go in groups of three
+    # from n = 13 (it was n = 17, and SkylakeX printed dd2380f1...).
     plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
-    assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == (
-        "dd2380f1097898b9c86f832e9657792855556abc9dfa06fa65f4469d932e4fba")
+    assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == _pinned({
+        "SkylakeX": "edd96ff079fc310b9a8b45a42573aeed7f3ed6cc3f60ea8a23bd4786627ee76d",
+        "Haswell": "3a4afda4c356fe34d9923990d0fb7a55ea4e262223cc75fec7b18f80733dbb64",
+        "Nehalem": "4725c67d8afa14f988ef333fc3ba368d7600729f678fb88d5ad8aee7b2ba554e",
+        "Sandybridge": "1203070e2d3d3a28e85f1dd207cf9d95a4c44926e07fc970bb7f99eae52c4ee7",
+        "Katmai": "073ff4e5bc644404f0adffb112ad7b3e6d66ce8579994424e252fe8a292a61f0",
+    })
 
 
 def test_sample_bytes_half_full_rows():
@@ -92,8 +138,10 @@ def test_per_stdout_beyond_double_range(tmp_path, capsys):
     p = tmp_path / "m.txt"
     p.write_text("\n".join(" ".join(["1e-20"] * 20) for _ in range(20)) + "\n")
     assert main(["per", "--input", str(p)]) == 0
-    assert capsys.readouterr().out == (
-        "per = 2.43290200818e-382  log_per = -878.69842073686493\n")
+    log_per = _pinned({"SkylakeX": "-878.69842073686493", "Haswell": "-878.69842073686505",
+                       "Nehalem": "-878.69842073686505", "Sandybridge": "-878.69842073686505",
+                       "Katmai": "-878.69842073686505"})
+    assert capsys.readouterr().out == f"per = 2.43290200818e-382  log_per = {log_per}\n"
 
 
 def test_moments_stdout(capsys):

@@ -64,7 +64,7 @@ class TestOracle:
         assert per_float(x) == float(exact_per01(x))
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("n", [12, 13, 16, 20])
 @pytest.mark.parametrize("r_of_n", [lambda n: 3, lambda n: n // 2], ids=["r3", "rhalf"])
 def test_per_ryser_exact_on_01(n, r_of_n):
     rng = np.random.default_rng(1000 + n)
@@ -97,9 +97,8 @@ def test_per_scaled_relative_error_on_trial_matrices(n):
 
 @pytest.mark.parametrize("r_of_n", [lambda n: 3, lambda n: n // 2], ids=["r3", "rhalf"])
 def test_per_ryser_exact_on_01_in_groups(r_of_n):
-    # n = 18 runs the grouped pass; its r = n/2 matrices here miss the 1e-14
-    # above by a little (2.0e-14), as the ungrouped pass did (1.8e-14), so
-    # the count is held to the pass's own rounding bound
+    # at n = 18 the r = n/2 matrices here miss the 1e-14 above by a little
+    # (2.0e-14), so the count is held to the pass's own rounding bound
     n = 18
     rng = np.random.default_rng(1000 + n)
     for _ in range(2):
@@ -110,9 +109,10 @@ def test_per_ryser_exact_on_01_in_groups(r_of_n):
         assert abs(v.to_float() - exact) <= _glynn_pass(x[None])[1][0]
 
 
-@pytest.mark.parametrize("n", [14, 17, 18, 20])
+@pytest.mark.parametrize("n", [12, 13, 14, 17, 18, 20])
 def test_glynn_pass_within_its_error_bound(n):
-    # below and above the sizes whose rows go in groups
+    # the one-table pass (n = 12), the smallest grouped n (13, whose last
+    # group has two padding members) and larger ones
     r = math.ceil(n ** 0.75)
     spec = ModelSpec(n, (r,) * n, DistributionSpec.from_string("exp:1"))
     a = np.stack([sample_constrained_matrix(spec, TrialSeed(77, i))[1].entries / r for i in range(2)])
