@@ -9,6 +9,7 @@ and mu its expectation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -181,63 +182,61 @@ def brute_second_moment_pairs(spec: ModelSpec) -> tuple[float, float]:
     return second, ratio
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log k!, k = 0..n: a running sum of log k with each addition's rounding
-    error recovered exactly (TwoSum) and added back. Within 0.65 ulp for
-    k <= 3000, where math.lgamma is off by up to 3.2 ulp (2 ulp at log 3!)."""
-    logs = np.log(np.arange(1.0, n + 1))
-    total = np.cumsum(logs)
-    prev = np.concatenate(([0.0], total[:-1]))
-    part = total - prev
-    lost = (prev - (total - part)) + (logs - part)
-    return np.concatenate(([0.0], total + np.cumsum(lost)))
+def _log_gamma_sum(n: int, groups: list[tuple[int, float, float]]) -> float:
+    """log of the trapezoid sum over y of exp(phi), phi(y) = n (y - expm1 y) + y
+    + sum_g m log1p(x + c e^{-y}/n): log t^(n+1) e^{-t} prod_g (1 + x + c/t)^m,
+    t = n e^y, up to a constant, so log-concave in t. Nodes are h = pi/sqrt(20
+    (t + 10)) apart from the mode (1 <= t <= n + 1), out to e^{-40} below it."""
+
+    def phi(y):
+        s = math.exp(-y) / n
+        return n * (y - math.expm1(y)) + y + math.fsum(
+            m * math.log1p(x + c * s) for m, x, c in groups)
+
+    def slope(y):  # phi'(y)
+        s = math.exp(-y) / n
+        return 1 - n * math.expm1(y) - math.fsum(m * c * s / (1 + x + c * s) for m, x, c in groups)
+
+    lo, hi = -math.log(n), math.log1p(1 / n)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    h = math.pi / math.sqrt(20 * (n * math.exp(lo) + 10))
+    peak, terms = phi(lo), [1.0]
+    for step in (h, -h):
+        rel = (phi(lo + k * step) - peak for k in itertools.count(1))
+        terms += map(math.exp, itertools.takewhile(lambda v: v > -40, rel))
+    return peak + math.log(h * math.fsum(terms))
 
 
 def _exact_ratio(spec: ModelSpec) -> float:
-    """Exact E T^2 / mu^2 = sum_{k=0}^{n} b_{n-k} / k! * g_k for any spec, n >= 2.
+    """Exact E T^2 / mu^2 for any spec with n >= 2, as one integral:
+
+        E T^2 / mu^2 = (1/n!) int_0^inf prod_i (c_i + o_i t) e^{-t} dt
+                     = E prod_i (o_i + c_i/G),  G ~ Gamma(n + 1, 1).
 
     ``pair_moment`` over mu^2/(n!)^2 is prod_{i in S} d_i prod_{i not in S} o_i
-    for agreement set S, d_i = (delta/nu^2) n/r_i, o_i = (1 - 1/r_i) n/(n-1).
-    (n-k)! b_{n-k} permutations fix exactly a given k-set, so g_k is that
-    product's mean over k-subsets; for equal rows g_k = d^k o^{n-k}, giving the
-    paper's alpha sum beta^k/k! b_{n-k} (alpha = o^n, beta = d/o).
+    for agreement set S, d_i = q n/r_i, o_i = (1 - 1/r_i) n/(n - 1), q =
+    delta/nu^2; the permutations moving exactly the m rows outside S number
+    int_0^inf (t - 1)^m e^{-t} dt, so c_i = d_i - o_i >= 0. Rows of one count
+    share the factor log1p(x + c/t), x = o - 1 = (r - n)/(r (n - 1)) one
+    correctly rounded quotient. The integral and the Gamma(n + 1) weight
+    alone take the same rule; the ratio is their quotient, so no log n! is
+    formed, r = n under const:1 gives exactly 1, and past doubles it is inf.
 
-    g is built in log space per distinct row count: m equal rows need no sum,
-    and groups of sizes a, b merge with weights C(a,i) C(b,j) / C(a+b,i+j).
-    No term is negative, so nothing cancels; past the double range the ratio
-    is inf. b_j = sum_{l<=j} (-1)^l/l! are float partial sums, good to a few
-    ulps since b_0 = 1, b_1 = 0 and b_j is in [1/3, 1/2] for j >= 2.
-
-    Error: the largest terms, k near q n/r, dominate. Their exponents carry
-    (n - k) log o's error, the one rounding of log1p's argument times n/r,
-    about (n/r) u (u = 2^-53), and a few ulps of numbers the size of log k!
-    (its own 0.65 ulp, k log d's rounding, their sum's). Along r = isqrt(n),
-    const:1, measured 2.4e-14 at n = 10^5, 2.6e-13 at 5.2e5, 2.0e-13 at 10^6.
+    Relative error (u = 2^-53). Truncation: by log-concavity in t, a tail past
+    a node e^{-40} below the peak lies under its tangent's exponential, about
+    4e-18. Discretisation: in |Im y| < v < pi/2 the integrand grows at most by
+    (cos v)^-(t+1), t at the mode, so the remainder 2 e^{-2 pi v/h} (cos v)^-(t+1)
+    is under e^{-37} at every t >= 1. Rounding: one per log1p argument (about
+    q/r_i), (q n/r_low) u in all; about sqrt(n) u in n (y - expm1 y) near the
+    peak; a few ulps of |log ratio| in the sums' logs. In all, within 2e-16 +
+    8 u (q n/r_low + sqrt(n) + |log ratio|): TestQuadratureOracle's bound.
     """
-    n = spec.n
-    log_fact = _log_factorials(n)
-
-    def log_binom(m, j):
-        return log_fact[m] - log_fact[j] - log_fact[m - j]
-
-    log_g = None
-    for ri, m in zip(*np.unique(spec.r, return_counts=True)):
-        j = np.arange(m + 1)
-        # r_i = 1 gives o_i = 0: only j = m, all rows agreeing, survives
-        log_o_pow = (m - j) * _log_o(n, int(ri)) if ri > 1 else np.where(j == m, 0.0, -np.inf)
-        group = j * math.log(spec.dist.delta_over_nu2 * n / ri) + log_o_pow
-        if log_g is None:
-            log_g = group
-            continue
-        a = len(log_g) - 1
-        merged = np.full(a + m + 1, -np.inf)
-        weighted = log_g + log_binom(a, np.arange(a + 1))
-        for i, term in enumerate(group + log_binom(m, j)):
-            merged[i:i + a + 1] = np.logaddexp(merged[i:i + a + 1], weighted + term)
-        log_g = merged - log_binom(a + m, np.arange(a + m + 1))
-    b = np.cumsum(np.concatenate(([1.0], np.cumprod(-1.0 / np.arange(1, n + 1)))))
-    with np.errstate(divide="ignore", over="ignore"):
-        return float(np.exp(log_g - log_fact + np.log(b[::-1])).sum())
+    n, q = spec.n, spec.dist.delta_over_nu2
+    groups = [(m, (r - n) / (r * (n - 1)), n / r * ((q - 1) + (n - r) / (n - 1)))
+              for r, m in collections.Counter(spec.r).items()]
+    return ScaledValue(_log_gamma_sum(n, groups) - _log_gamma_sum(n, [])).to_float()
 
 
 @functools.cache
@@ -361,10 +360,10 @@ def condition_check(spec: ModelSpec) -> ConditionCheck:
     spec sequence is that both tend to zero; this reports the finite-n
     values only. c_n is reported signed rather than in absolute value;
     since delta >= nu^2 and r_low <= r_up it is in fact always nonnegative.
-    For homogeneous specs with r >= 2, theta is (1 - 1/r) e^{q/(r-1)},
-    q = delta/nu^2, the per-dimension growth factor of the exact ratio
-    alpha e_n(beta - 1) (alpha ~ e (1 - 1/r)^n, beta ~ q n/(r-1), for q < r - 1);
-    theta > 1 for fixed r means the ratio grows exponentially in n.
+    For homogeneous specs with r >= 2, theta is (1 - 1/r) e^{q/(r-1)}, inf past
+    the double range, q = delta/nu^2: the per-dimension growth factor of the
+    exact ratio alpha e_n(beta - 1) (alpha ~ e (1 - 1/r)^n, beta ~ q n/(r-1),
+    for q < r - 1); theta > 1 for fixed r means the ratio grows exponentially in n.
     """
     q = spec.dist.delta_over_nu2
     a_n = math.sqrt(spec.n) * q / spec.r_low
@@ -372,7 +371,7 @@ def condition_check(spec: ModelSpec) -> ConditionCheck:
     theta = None
     if spec.is_homogeneous and spec.r_low >= 2:
         r = spec.r_low
-        theta = (1.0 - 1.0 / r) * math.exp(q / (r - 1.0))
+        theta = (1.0 - 1.0 / r) * ScaledValue(q / (r - 1.0)).to_float()
     return ConditionCheck(a_n, c_n, theta)
 
 

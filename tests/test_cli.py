@@ -205,6 +205,11 @@ class TestMoments:
         assert main(["moments", "--n", "3000", "--r", "2"]) == 0
         assert "exact_ratio = inf\n" in capsys.readouterr().out
 
+    def test_theta_beyond_double_range_prints_inf(self, capsys):
+        # q = e^9 under lognormal:0,3, so e^{q/(r-1)} is e^1157.6
+        assert main(["moments", "--n", "12", "--r", "8", "--dist", "lognormal:0,3"]) == 0
+        assert "theta = inf\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("n,r", [("550000", "742"), ("640000", "800"), ("1000000", "1000")])
     def test_alpha_beyond_double_range_keeps_bounds(self, n, r, capsys):
         # alpha ~ e^(-n/r) is subnormal at (550000, 742) and zero as a double
@@ -311,6 +316,15 @@ class TestMcSweep:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "3"
         assert lines[2].split(",")[0] == "4"
+
+    def test_rows_whose_theta_is_beyond_double_range(self, capsys):
+        # each row's moment report takes theta, e^1157.6 under lognormal:0,3
+        assert main(["mc", "--n", "6", "--r", "3", "--dist", "lognormal:0,3",
+                     "--trials", "20", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith('6,3,3,"lognormal:0,3",20,1,')
+        assert main(["sweep", "--n", "6,7", "--r-rule", "const:3", "--dist", "lognormal:0,3",
+                     "--trials", "10", "--seed", "1", "--workers", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_guard_exit_2(self):
         assert main(["mc", "--n", "40", "--r", "2", "--trials", "10", "--seed", "0"]) == 2

@@ -61,14 +61,16 @@ def _pinned(pins: dict[str, str]) -> str:
 
 
 def test_mc_csv_bytes():
-    # `permlab mc --n 4 --r 2 --dist exp:1 --trials 400 --seed 7` prints this
+    # `permlab mc --n 4 --r 2 --dist exp:1 --trials 400 --seed 7` prints this;
+    # its exact_ratio cell is the quadrature's (the sum over agreement sets
+    # printed ...575 in its last digits, SkylakeX 460ea73a...)
     batch = estimate_moments(ModelSpec.homogeneous(4, 2, DistributionSpec.exponential(1.0)), 400, 7)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
-        "SkylakeX": "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27",
-        "Haswell": "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27",
-        "Nehalem": "460ea73ae2dd6c3b52714b42094b52cd62c7664bb836aaf5fb1e416bb0a71c27",
-        "Sandybridge": "f9bebc6c152ade72672ee684bb20d2ba5b66b0cdeb07322de4c134638b26121e",
-        "Katmai": "33d1ca08fdb1aced726f12b8eb10f002243a9d16d412242509b3020d4f370465",
+        "SkylakeX": "3147698d03a54a079d89b422b88482b3a97b8d5f4cfbf38ea11942f7d324b41b",
+        "Haswell": "3147698d03a54a079d89b422b88482b3a97b8d5f4cfbf38ea11942f7d324b41b",
+        "Nehalem": "3147698d03a54a079d89b422b88482b3a97b8d5f4cfbf38ea11942f7d324b41b",
+        "Sandybridge": "e06bac5d4771fa7c7264293f6f77e90e776f8775a68b98e9152efd0bfaacc00f",
+        "Katmai": "689ad1e4c681df0bf4f8076a5748cca39d11cd8f601fcc766ec824a4de75a6c1",
     })
 
 
@@ -76,14 +78,15 @@ def test_mc_csv_bytes_across_seed_pieces():
     # `permlab mc --n 5 --r 2 --dist lognormal:0,1 --trials 9000 --seed 23`
     # prints this; the span crosses two seed pieces and many trial stacks,
     # and W takes the normal ziggurat. The dist cell is quoted (it holds a
-    # comma); the text is otherwise that of b8082b33...
+    # comma); the text is otherwise that of b8082b33... Its exact_ratio cell
+    # is the quadrature's (SkylakeX printed d068f3fa... before).
     batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec.lognormal(0.0, 1.0)), 9000, 23)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
-        "SkylakeX": "d068f3fa6fb09167bcd83dfd39ee88b414ae8618fb1b14433d13a82a9986e5e8",
-        "Haswell": "02d9e2d12701d611616b71adee0cf14361d448ae3e36b4d0d99ee5f5ad3464c9",
-        "Nehalem": "9a6304388849fe14761b3ac370d4701797f4da05b1d08af45c31e386a0e283e3",
-        "Sandybridge": "02d9e2d12701d611616b71adee0cf14361d448ae3e36b4d0d99ee5f5ad3464c9",
-        "Katmai": "9a6304388849fe14761b3ac370d4701797f4da05b1d08af45c31e386a0e283e3",
+        "SkylakeX": "e5b88aff1df3aada2b8eecac1d92f66f72ee2d029f35ec5fbeac71e4e7678771",
+        "Haswell": "b281564aff9f2e94a449f4e438e6e214a375c0dff67349e06f05c4794aaf809f",
+        "Nehalem": "91147f8d5f77546df009d1ce2d99a8c657ccce6b7c28729b2a7421ad3ff4ad96",
+        "Sandybridge": "b281564aff9f2e94a449f4e438e6e214a375c0dff67349e06f05c4794aaf809f",
+        "Katmai": "91147f8d5f77546df009d1ce2d99a8c657ccce6b7c28729b2a7421ad3ff4ad96",
     })
 
 
@@ -101,14 +104,15 @@ def test_sweep_csv_bytes_across_stack_sizes():
     # `permlab sweep --n 13,14,15 --r-rule power:0.75 --dist lognormal:0,1
     # --trials 8 --seed 5` prints this; n = 13 samples trials in stacks of
     # six, n = 14 of three and n = 15 of one. Rows go in groups of three
-    # from n = 13 (it was n = 17, and SkylakeX printed dd2380f1...).
+    # from n = 13 (it was n = 17, and SkylakeX printed dd2380f1...); the
+    # exact_ratio cells are the quadrature's (SkylakeX printed edd96ff0...).
     plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
     assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == _pinned({
-        "SkylakeX": "edd96ff079fc310b9a8b45a42573aeed7f3ed6cc3f60ea8a23bd4786627ee76d",
-        "Haswell": "3a4afda4c356fe34d9923990d0fb7a55ea4e262223cc75fec7b18f80733dbb64",
-        "Nehalem": "4725c67d8afa14f988ef333fc3ba368d7600729f678fb88d5ad8aee7b2ba554e",
-        "Sandybridge": "1203070e2d3d3a28e85f1dd207cf9d95a4c44926e07fc970bb7f99eae52c4ee7",
-        "Katmai": "073ff4e5bc644404f0adffb112ad7b3e6d66ce8579994424e252fe8a292a61f0",
+        "SkylakeX": "1c0512f7d181c2de8d9ec6d185c0d90efe223ae5acd5dd897c21af9cf2df6978",
+        "Haswell": "c46f7881c2c65c04bcf90295848c392e7ef8953932816d4682d1912642ff1882",
+        "Nehalem": "c0c4739b96a1b06c5386ec97e5d28ab8630ddb5a57e7f0b59e82c97091aa7b2a",
+        "Sandybridge": "7a598254ce19dff7731004375271129d5cbb04e2d267de4b5fd8bd5c19e99e60",
+        "Katmai": "ba2bc0c403fc69226ba7dce0388c68e572a9b2dd1c3f23a25363cda48561dc38",
     })
 
 
@@ -162,7 +166,7 @@ beta_up = 3.1428571428571428
 alpha_low = 5.72215169650748e-01
 beta_low = 3.1428571428571428
 bounds = unavailable (r_low >= 6*delta/nu^2 not met: r_low=8 < 12)
-exact_ratio = 4.8774205745272914
+exact_ratio = 4.8774205745272905
 a_n = 0.8660254037844386
 c_n = 1.5
 theta = 1.1643731727664313

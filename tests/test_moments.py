@@ -1,8 +1,10 @@
+import collections
 import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from paper_series import (
     subfactorial_b,
 )
 from sampler_reference import sample_row_support
+from test_threshold import truncated_exponential_ratio
 
 CONST1 = DistributionSpec.constant(1)
 EXP1 = DistributionSpec.exponential(1)
@@ -263,6 +266,73 @@ class TestExactRatioIdentity:
             assert rel_err(exact_ratio(n, r, CONST1), want) < 1e-11, (n, r)
 
 
+def quadrature_ratio(spec):
+    """(1/n!) int_0^inf prod_i (c_i + o_i t) e^{-t} dt by 40-digit tanh-sinh
+    (mpmath.quad), with o_i = n (r_i - 1)/(r_i (n - 1)) and c_i = q n/r_i - o_i
+    formed exactly from the integers and the double q. The interval is cut at
+    the mode of t times the integrand and at 1 to 64 of its widths there."""
+    n, q = spec.n, spec.dist.delta_over_nu2
+    with mpmath.workdps(40):
+        groups = []
+        for r, m in collections.Counter(spec.r).items():
+            o = mpmath.mpf(n * (r - 1)) / (r * (n - 1))
+            groups.append((m, o, mpmath.mpf(q) * n / r - o))
+
+        def log_integrand(t):
+            return mpmath.fsum(m * mpmath.log(c + o * t) for m, o, c in groups) - t
+
+        mode = mpmath.findroot(
+            lambda t: 1 / t - 1 + mpmath.fsum(m * o / (c + o * t) for m, o, c in groups),
+            (1, n + 1), solver="anderson")
+        width = 1 / mpmath.sqrt(
+            1 / mode**2 + mpmath.fsum(m * (o / (c + o * mode)) ** 2 for m, o, c in groups))
+        cuts = sorted(t for t in {mode + k * width for k in (0, 1, 2, 4, 8, 16, 32, 64)}
+                      | {mode - k * width for k in (1, 2, 4, 8, 16, 32, 64)} if t > 0)
+        peak = log_integrand(mode)
+        value = mpmath.quad(lambda t: mpmath.exp(log_integrand(t) - peak),
+                            [0, *cuts, mpmath.inf])
+        return value * mpmath.exp(peak - mpmath.loggamma(n + 1))
+
+
+def two_groups(n, low, high, law):
+    return ModelSpec(n, (low,) * (n // 2) + (high,) * (n - n // 2),
+                     DistributionSpec.from_string(law))
+
+
+class TestQuadratureOracle:
+    """The exact ratio within its stated bound, 2e-16 + 8 u (q n/r_low +
+    sqrt(n) + |log ratio|) with u = 2^-53, of a 40-digit quadrature of the
+    same integral, on heterogeneous specs up to n = 10^5."""
+
+    def test_oracle_matches_paper_series(self):
+        for n, r, law in ((10, 3, "const:1"), (1000, 31, "exp:1"), (12, 8, "lognormal:0,3")):
+            dist = DistributionSpec.from_string(law)
+            with mpmath.workdps(40):
+                want = mpmath.mpf(str(truncated_exponential_ratio(n, r, dist.delta_over_nu2)))
+                got = quadrature_ratio(ModelSpec.homogeneous(n, r, dist))
+                assert abs(got - want) / want < 1e-35, (n, r, law)
+
+    @pytest.mark.parametrize("spec", [
+        two_groups(40, 7, 14, "const:1"),
+        two_groups(40, 7, 14, "exp:1"),
+        ModelSpec(2000, tuple(100 + 19 * (i % 100) for i in range(2000)), EXP1),
+        two_groups(10**4, 1000, 2000, "exp:1"),
+        two_groups(10**5, 5624, 11248, "exp:1"),
+        two_groups(10**5, 400, 800, "exp:1"),
+        ModelSpec(50, (1,) * 10 + (25,) * 40, CONST1),
+        ModelSpec(300, (1,) * 3 + (2,) * 97 + (150,) * 200, DistributionSpec.uniform(1, 2)),
+        ModelSpec.homogeneous(12, 8, DistributionSpec.lognormal(0.0, 3.0)),
+        two_groups(30, 20, 30, "lognormal:0,3"),
+    ], ids=lambda s: f"n{s.n}-r{s.r_low}-{s.r_up}-{s.dist.spec_string()}-{len(set(s.r))}counts")
+    def test_within_stated_bound(self, spec):
+        got = moment_report(spec).exact_ratio
+        q, n = spec.dist.delta_over_nu2, spec.n
+        bound = 2e-16 + 8 * 2.0**-53 * (q * n / spec.r_low + math.sqrt(n) + abs(math.log(got)))
+        want = quadrature_ratio(spec)
+        with mpmath.workdps(40):
+            assert float(abs(got - want) / want) < bound
+
+
 class TestPairMoment:
     def test_diagonal_case(self):
         spec = ModelSpec(3, (2, 2, 2), CONST1)
@@ -428,6 +498,12 @@ class TestConditions:
         growth = math.exp((math.log(ratios[1]) - math.log(ratios[0])) / 400)
         theta = condition_check(ModelSpec.homogeneous(400, 8, dist)).theta
         assert theta == pytest.approx(growth, rel=1e-5)
+
+    def test_theta_past_double_range_is_inf(self):
+        # q = e^9 = 8103: e^{q/(r-1)} is e^1157.6, past the double range
+        spec = ModelSpec.homogeneous(12, 8, DistributionSpec.lognormal(0.0, 3.0))
+        assert condition_check(spec).theta == math.inf
+        assert moment_report(spec).theta == math.inf
 
     def test_theta_absent_for_heterogeneous_or_r1(self):
         assert condition_check(ModelSpec(3, (1, 2, 3), CONST1)).theta is None

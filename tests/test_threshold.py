@@ -138,3 +138,21 @@ def test_condition_is_sufficient_not_necessary():
     for rep in reports:
         assert math.log(rep.second_moment_upper) == pytest.approx(rep.c_n, abs=0.02)
     assert reports[-1].c_n == pytest.approx(5.0, rel=1e-12)
+
+
+def test_heterogeneous_threshold_concentrates():
+    """The paper's heterogeneous case with 0-1 weights, van der Waerden's
+    setting: rows spread evenly over [r, r + s], r = ceil(n^0.75) and
+    s = ceil(n^0.25). Then a_n = sqrt(n)/r ~ n^-0.25 and c_n = n s/(r (r + s))
+    ~ n^-0.25 both tend to 0, the paper's sufficient condition, and
+    Var(T/mu) = ratio - 1 tends to 0 with them."""
+    reports = []
+    for n in (10**3, 10**4, 10**5, 10**6):
+        r, s = math.ceil(n**0.75), math.ceil(n**0.25)
+        spec = ModelSpec(n, tuple(r + i * (s + 1) // n for i in range(n)), CONST1)
+        assert (spec.r_low, spec.r_up) == (r, r + s)
+        reports.append(moment_report(spec))
+    for a, b in zip(reports, reports[1:]):
+        assert b.a_n < a.a_n
+        assert b.c_n < a.c_n
+        assert 0 < b.exact_ratio - 1 < a.exact_ratio - 1
