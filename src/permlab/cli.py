@@ -123,9 +123,8 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 # Each model command's n limit, checked before --r becomes n row counts:
-# mc's is the Glynn kernel's; sample builds n x n matrices (n = 1000 takes
-# 74 MB peak RSS and 0.8 s) and moments O(n) closed forms (n = 10^6 takes
-# 45 MB and 0.5 s).
+# mc's is the Glynn kernel's; sample builds n x n matrices and moments O(n)
+# closed forms (README's size guards give their cost at the limit).
 _MAX_N = {"mc": ("Glynn kernel", RYSER_MAX_N), "sample": ("sample", 1000),
           "moments": ("moments", 10**6)}
 

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 0.1
-MAX_TRIALS = 10**7  # a run's memory grows with its trials: 275 MB at n = 3
+MAX_TRIALS = 10**7  # a run's memory grows with its trials (README's size guards)
 
 
 def jackknife_se_of_variance(values: np.ndarray) -> float:

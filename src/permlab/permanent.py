@@ -4,8 +4,8 @@ Two kernels: a direct sum over permutations (the correctness oracle, n <= 10)
 and Glynn's formula, a signed sum over 2^(n-1) column sign patterns, in one
 double-precision pass (the fast path, n <= 30). On a nonnegative matrix no
 Glynn term exceeds prod_i rowsum_i, so little cancels: on row-rescaled trial
-matrices the relative error measured at most 5e-14 at n = 13-18, 9e-14 at
-n = 20 and 1.3e-13 at n = 21-24. A result inside the pass's rounding bound
+matrices tests/test_kernel_accuracy.py::test_glynn_pass_accuracy_table holds
+the relative error at n = 13-20. A result inside the pass's rounding bound
 is settled on the support: exactly zero without a perfect matching, an
 error with one. Both kernels are deterministic: repeated calls on the same
 matrix are bit-identical.

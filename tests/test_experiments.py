@@ -464,6 +464,17 @@ class TestSweepAndCsv:
             assert row.trials == 30
             assert row.r_low == row.r_up == 2
 
+    def test_row_seed_reproduces_the_row(self):
+        # README's sweep-row rule: row n's seed is SeedSequence(plan seed,
+        # spawn_key=(n,))'s first uint64 word, and mc with it prints the row
+        plan = SweepPlan(ns=(3, 5), r_rule="const:2", dist=DistributionSpec.exponential(1.0),
+                         trials=30, master_seed=2)
+        for row in concentration_sweep(plan):
+            ss = np.random.SeedSequence(2, spawn_key=(row.n,))
+            assert row.seed == int(ss.generate_state(1, np.uint64)[0])
+            batch = estimate_moments(plan.spec_for(row.n), 30, row.seed)
+            assert csv_text([summary_row(batch)]) == csv_text([row])
+
     def test_exponential_rate_rows_identical_in_distribution(self):
         # inverse-CDF sampling makes the whole ratio set bit-equal across rates
         r = (5,) * 12

@@ -5,7 +5,8 @@ import pytest
 
 from glynn_reference import glynn_pass_reference
 from permlab import permanent
-from permlab.core import DenseMatrix, PrecisionError, SizeLimitError
+from permlab.core import DenseMatrix, DistributionSpec, ModelSpec, PrecisionError, SizeLimitError
+from permlab.experiments import estimate_moments
 from permlab.permanent import (
     _BLOCK_BITS,
     _glynn_logs,
@@ -166,6 +167,15 @@ class TestZeroScreen:
         assert logs[:2] == [-math.inf, -math.inf]
         assert logs[2] == pytest.approx(math.log(6), rel=1e-14)
         assert len(calls) == 1 and np.array_equal(calls[0], hall)
+        # mc-small's run, `mc --n 6 --r 3 --dist exp:1 --trials 20000 --seed
+        # 5`: of its 1983 zero trials, the 1873 with an empty column (no row
+        # is empty at r = 3) skip the search, which settles the other 110
+        calls.clear()
+        spec = ModelSpec.homogeneous(6, 3, DistributionSpec.exponential(1.0))
+        ratios = estimate_moments(spec, 20_000, 5, workers=1).ratios
+        assert int((ratios == 0.0).sum()) == 1983
+        assert len(calls) == 1983 - 1873
+        assert not any(map(_has_perfect_matching, calls))
 
 
 class TestVecdotCanary:
