@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .model import TrialSeed, sample_constrained_matrix
 from .moments import moment_report
-from .permanent import RYSER_MAX_N, per_naive, per_scaled
+from .permanent import RYSER_MAX_N, per_naive, per_ryser
 from .verify import cross_check_suite
 
 __all__ = ["main", "build_parser"]
@@ -154,14 +154,7 @@ def cmd_per(args: argparse.Namespace) -> int:
     _echo_config(args)
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
-    if args.algorithm == "naive":
-        value = per_naive(m)
-    else:
-        # each row scaled by its largest entry keeps the pass near magnitude
-        # one; an all-zero row keeps scale 1, and the pass returns the exact zero
-        scales = m.entries.max(axis=1)
-        scales[scales == 0] = 1.0
-        value = per_scaled(m, scales)
+    value = per_naive(m) if args.algorithm == "naive" else per_ryser(m)
     if value.is_zero:
         print("per = 0  log_per = -inf")
         return 0

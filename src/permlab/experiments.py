@@ -9,6 +9,7 @@ order, so output is identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import astuple, dataclass, fields
@@ -70,17 +71,15 @@ def _trial_ratios(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """T/mu for a stack of trials, from their (X, W) stacks, evaluated in
     one Glynn pass.
 
-    Row i of X*W is divided by r_i * E[W] before the Glynn pass, and the
-    permanent is divided by the expected permanent in log space; log mu0
-    carries the same row scales, so they cancel up to rounding.
+    The pass divides row i of X*W by r_i * E[W], and the permanent is
+    divided by the expected permanent in log space; log mu0 carries the
+    same row scales, so they cancel up to rounding.
     """
     n = spec.n
     scales = np.array(spec.r) * spec.dist.standard_mean
-    log_scales = math.fsum(math.log(s) for s in scales)
-    log_mu0 = log_scales + (math.log(math.factorial(n)) - n * math.log(n))
-    logs = _glynn_logs(x * w / scales[:, None])
+    log_mu0 = math.fsum(map(math.log, scales)) + (math.log(math.factorial(n)) - n * math.log(n))
     # exp(-inf) is 0.0: a zero permanent gives a zero ratio
-    return np.array([math.exp(lv + log_scales - log_mu0) for lv in logs])
+    return np.array([math.exp(lv - log_mu0) for lv in _glynn_logs(x * w, scales)])
 
 
 def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
@@ -142,13 +141,16 @@ class TrialBatch:
     def mean_ratio(self) -> float:
         return float(np.mean(self.ratios))
 
-    @property
+    # Computed once per batch; equality stays on the fields. Identical
+    # samples have zero sample variance and zero standard errors by
+    # definition, which avoids reporting rounding dust for deterministic specs.
+    @functools.cached_property
+    def _all_equal(self) -> bool:
+        return bool(np.all(self.ratios == self.ratios[0]))
+
+    @functools.cached_property
     def var_ratio(self) -> float:
-        # Identical samples have zero sample variance by definition; the
-        # short-circuit avoids reporting rounding dust for deterministic specs.
-        if np.all(self.ratios == self.ratios[0]):
-            return 0.0
-        return float(np.var(self.ratios, ddof=1))
+        return 0.0 if self._all_equal else float(np.var(self.ratios, ddof=1))
 
     @property
     def se_mean(self) -> float:
@@ -156,12 +158,9 @@ class TrialBatch:
 
     @property
     def se_var(self) -> float:
-        """Jackknife standard error of the sample variance (nan if trials < 3)."""
-        if self.trials < 3:
-            return float("nan")
-        if np.all(self.ratios == self.ratios[0]):
-            return 0.0
-        return jackknife_se_of_variance(self.ratios)
+        """Jackknife standard error of the sample variance (nan if trials < 3
+        and the ratios differ)."""
+        return 0.0 if self._all_equal else jackknife_se_of_variance(self.ratios)
 
     @property
     def p_dev(self) -> float:

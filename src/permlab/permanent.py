@@ -2,13 +2,15 @@
 
 Two kernels: a direct sum over permutations (the correctness oracle, n <= 10)
 and Glynn's formula, a signed sum over 2^(n-1) column sign patterns, in one
-double-precision pass (the fast path, n <= 30). On a nonnegative matrix no
-Glynn term exceeds prod_i rowsum_i, so little cancels: on row-rescaled trial
-matrices tests/test_kernel_accuracy.py::test_glynn_pass_accuracy_table holds
-the relative error at n = 13-20. A result inside the pass's rounding bound
-is settled on the support: exactly zero without a perfect matching, an
-error with one. Both kernels are deterministic: repeated calls on the same
-matrix are bit-identical.
+double-precision pass (the fast path, n <= 30), entered only through
+``_glynn_logs``, which runs it on rows divided by their scales and adds the
+scales' logs back. On a nonnegative matrix no Glynn term exceeds prod_i
+rowsum_i, so little cancels: on row-rescaled trial matrices
+tests/test_kernel_accuracy.py::test_glynn_pass_accuracy_table holds the
+relative error at n = 13-20. A result inside the pass's rounding bound is
+settled on the support: exactly zero without a perfect matching, an error
+with one. Both kernels are deterministic: repeated calls on the same matrix
+are bit-identical.
 
 The Glynn pass handles its high sign patterns in chunks. A term's factor
 over rows is formed three rows at a time: a chunk's table is one stacked
@@ -224,64 +226,67 @@ def _check_glynn_size(n: int) -> None:
         raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {n}")
 
 
-def _glynn_logs(a: np.ndarray) -> list[float]:
+def _glynn_logs(a: np.ndarray, scales: np.ndarray) -> list[float]:
     """log per(A) for each matrix of a nonnegative (B, n, n) stack, via one
     Glynn pass; -inf marks an exact zero. Guarded at n <= RYSER_MAX_N.
 
-    A value within the pass's rounding bound is decided on the support:
-    exactly zero when it has no perfect matching, and a PrecisionError when
-    it has one but the value is not positive. An empty row or column marks
-    a zero without the matching search. No result is clamped.
+    Row i of every matrix is divided by the finite positive ``scales[i]``,
+    which keeps the pass near magnitude one, and sum log scales is added to
+    every finite log. A nonzero entry that the division flushes to 0.0
+    would leave the support: a PrecisionError naming its row, never a false
+    zero. A value within the pass's rounding bound is decided on the
+    support: exactly zero when it has no perfect matching, and a
+    PrecisionError when it has one but the value is not positive. An empty
+    row or column marks a zero without the matching search. No result is
+    clamped.
     """
     _check_glynn_size(a.shape[1])
-    values, errs = _glynn_pass(a)
+    scaled = a / scales[:, None]
+    if np.count_nonzero(scaled) != np.count_nonzero(a):
+        i = int(np.flatnonzero(((scaled == 0) & (a != 0)).any(axis=(0, 2)))[0])
+        raise PrecisionError(f"row {i} divided by its scale {float(scales[i])!r} flushes "
+                             "a nonzero entry to 0")
+    values, errs = _glynn_pass(scaled)
     flagged = np.flatnonzero(values <= errs)
-    support = a[flagged] != 0
+    support = scaled[flagged] != 0
     covered = support.any(axis=2).all(axis=1) & support.any(axis=1).all(axis=1)
     zeros = set(flagged[~covered].tolist())
     for k in flagged[covered].tolist():
-        if not _has_perfect_matching(a[k]):
+        if not _has_perfect_matching(scaled[k]):
             zeros.add(k)
         elif values[k] <= 0:
             raise PrecisionError(f"permanent {float(values[k])!r} is within its rounding "
                                  f"bound {errs[k]:.3g} but the support has a perfect matching")
-    return [-math.inf if k in zeros else math.log(v) for k, v in enumerate(values.tolist())]
+    log_scales = math.fsum(map(math.log, scales))
+    return [-math.inf if k in zeros else math.log(v) + log_scales
+            for k, v in enumerate(values.tolist())]
 
 
 def per_ryser(m: DenseMatrix) -> ScaledValue:
     """Permanent via Glynn's formula over column sign patterns, O(2^(n-1) * n).
 
-    ``per_scaled`` with unit row scales, so bit-identical to it. Guarded at
-    n <= 30. Exactly zero when the support has no perfect matching. Agrees
-    with per_naive to a relative error below 1e-10 for n <= 10 on
-    nonnegative input; the public name stays for its callers.
+    ``per_scaled`` with each row scaled by its largest entry (1.0 for an
+    all-zero row), so the pass runs near magnitude one and the log holds
+    permanents outside the double range. Guarded at n <= 30. Exactly zero
+    when the support has no perfect matching. Agrees with per_naive to a
+    relative error below 1e-10 for n <= 10 on nonnegative input.
     """
-    return per_scaled(m, np.ones(m.n))
+    scales = m.entries.max(axis=1)
+    scales[scales == 0] = 1.0
+    return per_scaled(m, scales)
 
 
 def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
-    """Permanent computed on a row-rescaled copy, magnitude restored in logs.
+    """Permanent via ``_glynn_logs`` with row i divided by ``row_scales[i]``.
 
-    Row i is divided by ``row_scales[i]`` before the Glynn kernel runs, and
-    the result is multiplied by exp(sum log row_scales) in log space. With
-    scales near each row's expected sum the kernel arithmetic stays near
-    magnitude one, which keeps the relative error bounded up to the n <= 30
-    guard where the raw permanent overflows doubles. A nonzero entry that
-    the division flushes to 0.0 would drop out of the support, so that is a
-    PrecisionError naming its row, never a false zero.
+    With scales near each row's size the pass stays near magnitude one,
+    which keeps the relative error bounded up to the n <= 30 guard where
+    the raw permanent overflows doubles. A scale that flushes a nonzero
+    entry to 0.0 is a PrecisionError naming its row, never a false zero.
     """
-    n = m.n
     scales = np.asarray(row_scales, dtype=float)
-    if scales.shape != (n,):
-        raise ValueError(f"need {n} row scales, got shape {scales.shape}")
+    if scales.shape != (m.n,):
+        raise ValueError(f"need {m.n} row scales, got shape {scales.shape}")
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
         raise ValueError("row scales must be finite and positive")
-    a = m.entries / scales[:, None]
-    flushed = np.flatnonzero(((a == 0) & (m.entries != 0)).any(axis=1))
-    if len(flushed):
-        i = int(flushed[0])
-        raise PrecisionError(f"row {i} divided by its scale {float(scales[i])!r} flushes "
-                             "a nonzero entry to 0")
-    (log_v,) = _glynn_logs(a[None])
-    # an exact zero's -inf stays -inf
-    return ScaledValue(log_v + math.fsum(math.log(s) for s in scales))
+    return ScaledValue(_glynn_logs(m.entries[None], scales)[0])

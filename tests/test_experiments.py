@@ -100,6 +100,7 @@ class TestTrialBatch:
         assert batch.var_ratio == 0.0
         assert batch.se_mean == 0.0
         assert batch.se_var == 0.0
+        assert TrialBatch(spec, 0, 2, 0.1, np.ones(2)).se_var == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -101,9 +101,22 @@ class TestRyser:
             assert v.is_zero and v.log_mag == -math.inf
 
     def test_unresolved_value_raises_instead_of_zero(self):
-        # per = 20! * 1e-400 underflows, yet the support has a perfect matching
+        # on unit scales per = 20! * 1e-400 underflows, yet the support has a
+        # perfect matching
         with pytest.raises(PrecisionError):
-            per_ryser(DenseMatrix(np.full((20, 20), 1e-20)))
+            per_scaled(DenseMatrix(np.full((20, 20), 1e-20)), np.ones(20))
+
+    def test_log_above_the_double_range(self):
+        # per of the scaled matrix is near 1e353; row maxima keep the pass
+        # near magnitude one, so only the logs of the scales move
+        m = np.random.default_rng(1).random((30, 30))
+        want = per_ryser(DenseMatrix(m)).log_mag + 30 * math.log(1e11)
+        got = per_ryser(DenseMatrix(m * 1e11)).log_mag
+        assert abs(got - want) <= 8 * math.ulp(want)
+
+    def test_log_below_the_double_range(self):
+        v = per_ryser(DenseMatrix(np.full((20, 20), 1e-20)))
+        assert abs(v.log_mag - (math.lgamma(21) - 400 * math.log(10))) <= 1e-12
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(8)
@@ -163,7 +176,7 @@ class TestZeroScreen:
         monkeypatch.setattr(permanent, "_has_perfect_matching", counted)
         empty_column = np.array([[1.0, 0, 1], [1, 0, 1], [0, 0, 1]])
         hall = np.array([[1.0, 0, 0], [1, 0, 0], [0, 1, 1]])  # rows {0}, {0}, {1, 2}
-        logs = _glynn_logs(np.stack([empty_column, hall, np.ones((3, 3))]))
+        logs = _glynn_logs(np.stack([empty_column, hall, np.ones((3, 3))]), np.ones(3))
         assert logs[:2] == [-math.inf, -math.inf]
         assert logs[2] == pytest.approx(math.log(6), rel=1e-14)
         assert len(calls) == 1 and np.array_equal(calls[0], hall)
@@ -202,7 +215,7 @@ class TestScaledPermanent:
         rng = np.random.default_rng(9)
         m = DenseMatrix(rng.uniform(0, 1, size=(6, 6)))
         a = per_ryser(m)
-        b = per_scaled(m, np.ones(6))
+        b = per_scaled(m, m.entries.max(axis=1))
         assert a.log_mag == b.log_mag
 
     def test_20x20_all_ones_matches_log_factorial(self):
@@ -229,6 +242,13 @@ class TestScaledPermanent:
         m = DenseMatrix([[1.0, 0.0], [1.0, 1e-30]])
         with pytest.raises(PrecisionError, match="^row 1 divided by its scale 1e\\+300 "):
             per_scaled(m, [1.0, 1e300])
+
+    def test_flush_in_one_matrix_of_a_stack_raises(self):
+        # only the middle matrix has an entry that row 1's scale flushes
+        a = np.ones((3, 3, 3))
+        a[1, 1, 2] = 1e-30
+        with pytest.raises(PrecisionError, match="^row 1 divided by its scale"):
+            _glynn_logs(a, np.array([1.0, 1e300, 1.0]))
 
 
 class TestCrossAgreement:
