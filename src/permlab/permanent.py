@@ -234,11 +234,12 @@ def _glynn_logs(a: np.ndarray, scales: np.ndarray) -> list[float]:
     which keeps the pass near magnitude one, and sum log scales is added to
     every finite log. A nonzero entry that the division flushes to 0.0
     would leave the support: a PrecisionError naming its row, never a false
-    zero. A value within the pass's rounding bound is decided on the
-    support: exactly zero when it has no perfect matching, and a
-    PrecisionError when it has one but the value is not positive. An empty
-    row or column marks a zero without the matching search. No result is
-    clamped.
+    zero. A pass that leaves the double range is a PrecisionError too,
+    naming the first row the division overflows if there is one. A value
+    within the pass's rounding bound is decided on the support: exactly
+    zero when it has no perfect matching, and a PrecisionError when it has
+    one but the value is not positive. An empty row or column marks a zero
+    without the matching search. No result is clamped.
     """
     _check_glynn_size(a.shape[1])
     scaled = a / scales[:, None]
@@ -247,6 +248,10 @@ def _glynn_logs(a: np.ndarray, scales: np.ndarray) -> list[float]:
         raise PrecisionError(f"row {i} divided by its scale {float(scales[i])!r} flushes "
                              "a nonzero entry to 0")
     values, errs = _glynn_pass(scaled)
+    if not np.isfinite(values).all():
+        rows = np.flatnonzero(~np.isfinite(scaled).all(axis=(0, 2)))
+        raise PrecisionError((f"row {rows[0]} divided by its scale {float(scales[rows[0]])!r} "
+                              "overflows") if rows.size else "the Glynn pass overflowed")
     flagged = np.flatnonzero(values <= errs)
     support = scaled[flagged] != 0
     covered = support.any(axis=2).all(axis=1) & support.any(axis=1).all(axis=1)

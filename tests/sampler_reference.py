@@ -20,7 +20,9 @@ import numpy as np
 
 from permlab import model
 from permlab.core import DenseMatrix, ModelSpec, SizeLimitError
-from permlab.moments import ENUMERATION_MAX_CLASS, constraint_class_size
+from permlab.moments import constraint_class_size
+
+MAX_CLASS = 10**7
 
 
 def sample_row_support(n: int, r: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -82,15 +84,12 @@ def _span_rngs(master_seed: int, start: int, stop: int):
 def enumerate_constraint_matrices(spec: ModelSpec):
     """Yield every 0-1 matrix with the given row counts exactly once.
 
-    Lexicographic product of per-row support combinations. Guarded by the
-    total class size.
+    Lexicographic product of per-row support combinations. Guarded at
+    ``MAX_CLASS`` matrices.
     """
     size = constraint_class_size(spec)
-    if size > ENUMERATION_MAX_CLASS:
-        raise SizeLimitError(
-            f"constraint class has {size} matrices, over the "
-            f"{ENUMERATION_MAX_CLASS} enumeration guard"
-        )
+    if size > MAX_CLASS:
+        raise SizeLimitError(f"constraint class has {size} matrices, over the {MAX_CLASS} guard")
     n = spec.n
     per_row = [itertools.combinations(range(n), ri) for ri in spec.r]
     for supports in itertools.product(*per_row):

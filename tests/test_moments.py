@@ -437,26 +437,39 @@ class TestEnumerationOracle:
         assert second == pytest.approx(2.0, rel=1e-14)
 
     def test_matches_direct_matrix_enumeration(self):
-        # independent slow path: permanents of every matrix in the class
+        # the definition, walked matrix by matrix: each X's compatible
+        # permutations, its permanent, and its pairs binned by agreement
         from sampler_reference import enumerate_constraint_matrices
+        from permlab.moments import _enumeration_invariants
         from permlab.permanent import per_naive
 
-        spec = ModelSpec(3, (2, 2, 2), CONST1)
-        values = [per_naive(m).to_float() for m in enumerate_constraint_matrices(spec)]
-        assert len(values) == 27
-        assert sorted(set(round(v) for v in values)) == [0, 2]
-        assert sum(1 for v in values if round(v) == 2) == 24
-        mean, second = exact_moments_enumerate(spec)
-        assert mean == pytest.approx(np.mean(values), rel=1e-12)
-        assert second == pytest.approx(np.mean(np.square(values)), rel=1e-12)
+        for n, r in [(3, (2, 2, 2)), (3, (1, 2, 3)), (4, (2, 2, 3, 3)), (4, (1, 2, 3, 4))]:
+            spec = ModelSpec(n, r, CONST1)
+            perms = list(itertools.permutations(range(n)))
+            per_sum, hist, values = 0, [0] * (n + 1), []
+            for m in enumerate_constraint_matrices(spec):
+                compatible = [s for s in perms if all(m.entries[i, s[i]] for i in range(n))]
+                values.append(per_naive(m).to_float())
+                assert values[-1] == pytest.approx(len(compatible), rel=1e-12)
+                per_sum += len(compatible)
+                for s1, s2 in itertools.product(compatible, repeat=2):
+                    hist[sum(a == b for a, b in zip(s1, s2))] += 1
+            assert _enumeration_invariants(n, r) == (per_sum, tuple(hist))
+            mean, second = exact_moments_enumerate(spec)
+            assert mean == pytest.approx(np.mean(values), rel=1e-12)
+            assert second == pytest.approx(np.mean(np.square(values)), rel=1e-12)
 
-    def test_cross_oracle_agreement_n_le_5(self):
+    def test_cross_oracle_agreement(self):
         cases = [
             (2, (1, 2)),
             (3, (2, 2, 2)),
             (3, (1, 2, 3)),
             (4, (2, 2, 3, 3)),
             (5, (2, 3, 3, 4, 5)),
+            # classes of 6.4e7, 1.1e7 and 5.4e5 matrices
+            (6, (3,) * 6),
+            (6, (2,) * 6),
+            (6, (2, 3, 3, 4, 5, 6)),
         ]
         for n, r in cases:
             for dist in (CONST1, EXP1):
@@ -468,8 +481,6 @@ class TestEnumerationOracle:
     def test_size_guards(self):
         with pytest.raises(SizeLimitError):
             exact_moments_enumerate(ModelSpec.homogeneous(7, 2, CONST1))
-        with pytest.raises(SizeLimitError):
-            exact_moments_enumerate(ModelSpec.homogeneous(6, 3, CONST1))
 
 
 class TestConditions:

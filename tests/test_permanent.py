@@ -250,6 +250,19 @@ class TestScaledPermanent:
         with pytest.raises(PrecisionError, match="^row 1 divided by its scale"):
             _glynn_logs(a, np.array([1.0, 1e300, 1.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("entries,scales,message", [
+        # 1e300 / 1e-300 is inf
+        (np.full((1, 1), 1e300), [1e-300], "row 0 divided by its scale 1e-300 overflows"),
+        # finite entries, but the row-sum product 4e600 is past the doubles
+        (np.full((2, 2), 1e300), [1.0] * 2, "the Glynn pass overflowed"),
+        # scaled entries of 1e300 are finite; the signed sums turn inf - inf
+        (np.full((3, 3), 1e200), [1e-100] * 3, "the Glynn pass overflowed"),
+    ], ids=["entry", "pass-inf", "pass-nan"])
+    def test_overflow_raises(self, entries, scales, message):
+        with pytest.raises(PrecisionError, match=f"^{message}$"):
+            per_scaled(DenseMatrix(entries), scales)
+
 
 class TestCrossAgreement:
     def test_random_agreement_sweep(self):
