@@ -75,8 +75,10 @@ def _parse_r_spec(text: str, n: int) -> tuple[int, ...]:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file; blank lines and # comments ignored. Keys come
+    back in flag form (``_`` written as ``-``), and one given twice is an error."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -85,7 +87,10 @@ def _load_config(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            out[key.strip()] = value.strip()
+            flag = key.strip().replace("_", "-")
+            if flag in lines:
+                raise ParseError(f"{path}: key {flag!r} is set on lines {lines[flag]} and {lineno}")
+            out[flag], lines[flag] = value.strip(), lineno
     return out
 
 
@@ -106,8 +111,7 @@ def _config_argv(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     tokens = []
-    for key, value in _load_config(path).items():
-        flag = key.replace("_", "-")
+    for flag, value in _load_config(path).items():
         if flag == "config":
             raise ParseError(f"{path}: a config file cannot name another config file")
         tokens.append(f"--{flag}={value}")

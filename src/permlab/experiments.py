@@ -92,8 +92,9 @@ def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     cancelled algebraically rather than numerically; ratios are therefore
     bit-identical across pure rescalings of the entry law. The ratio is
     exactly 0.0 when, and only when, the support has no perfect matching.
-    The trial is a stack of one through the sampler and kernel pass that
-    batches use, so a batch's ratios are bit-identical to these.
+    The trial draws on its own ``trial_rng`` and runs as a stack of one
+    through the kernel pass that batches use, so a batch's ratios are
+    bit-identical to these.
     """
     _check_glynn_size(spec.n)
     return float(_trial_ratios(spec, *_sample_trial(spec, seed))[0])

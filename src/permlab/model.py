@@ -17,13 +17,12 @@ derives a piece of trials' PCG64 (state, inc) at a time as uint64 words in
 one numpy stage, SeedSequence's published hash then PCG's seeding, and writes
 each into one generator; the states are ``trial_rng``'s, so the streams are too.
 
-One sampler, ``_StackSampler``, draws every trial, a single trial as a
-stack of one. It takes the trials' states as (trials, 4) uint64 struct
-words; a single trial converts ``trial_rng``'s state to words once. The
-picks are ``integers(lows, n)``'s stream, read as raw 64-bit words, one
-``random_raw`` call per trial, with numpy's 32-bit Lemire rule applied to
-the whole stack; a trial with a rejected draw makes the ``integers`` call
-itself. Tests pin this against numpy's own calls.
+A single trial draws on ``trial_rng``'s generator by those calls. A span's
+trials go through ``_StackSampler``, one per span, which takes their states
+as (trials, 4) uint64 struct words. It reads the picks of ``integers(lows,
+n)`` as raw 64-bit words, one ``random_raw`` call per trial, with numpy's
+32-bit Lemire rule applied to the whole stack; a trial with a rejected draw
+makes the ``integers`` call itself. Tests pin this against numpy's own calls.
 """
 
 from __future__ import annotations
@@ -144,12 +143,6 @@ def _state_dict(words) -> dict:
     state_lo, state_hi, inc_lo, inc_hi = map(int, words)
     return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
             "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
-
-
-def _struct_words(state: dict) -> list[int]:
-    """``_state_dict``'s inverse."""
-    state, inc = state["state"]["state"], state["state"]["inc"]
-    return [state & _M64, state >> 64, inc & _M64, inc >> 64]
 
 
 def _span_words(master_seed: int, start: int, stop: int):
@@ -274,8 +267,8 @@ def _supports(picks: np.ndarray, r, n: int) -> np.ndarray:
 class _StackSampler:
     """Draws the (X, W) stacks of trials given by their PCG64 states, as
     (trials, 4) uint64 struct words, writing each trial's words into one
-    generator's (state, inc) block. Built once per span, so the spec's
-    constants are too.
+    generator's (state, inc) block. Each span builds its own, with the
+    spec's constants, so no generator outlives the span or is shared.
 
     Each trial makes one ``random_raw`` call for its picks, then draws W in
     place by ``sample_standard``'s draw. Both take whole 64-bit words under
@@ -317,17 +310,13 @@ class _StackSampler:
         return _supports(picks, self.spec.r, n), w
 
 
-@functools.lru_cache(maxsize=8)
-def _trial_sampler(spec: ModelSpec) -> _StackSampler:
-    """The sampler single trials of ``spec`` share: each call writes its
-    trial's state before it draws, as the trials of a span do."""
-    return _StackSampler(spec)
-
-
 def _sample_trial(spec: ModelSpec, seed: TrialSeed) -> tuple[np.ndarray, np.ndarray]:
-    """The (X, W) stacks of one trial: a stack of one in ``trial_rng``'s state."""
-    state = trial_rng(seed).bit_generator.state
-    return _trial_sampler(spec)(np.array([_struct_words(state)], dtype=np.uint64))
+    """The (X, W) stacks of one trial, a stack of one, drawn on ``trial_rng``
+    by the contract's calls: the picks, then W."""
+    rng, n = trial_rng(seed), spec.n
+    picks = rng.integers(np.nonzero(_swap_mask(spec.r))[1], n)
+    w = spec.dist.sample_standard(rng, (1, n, n))
+    return _supports(picks[None], spec.r, n), w
 
 
 def sample_constrained_matrix(

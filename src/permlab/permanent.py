@@ -242,12 +242,14 @@ def _glynn_logs(a: np.ndarray, scales: np.ndarray) -> list[float]:
     without the matching search. No result is clamped.
     """
     _check_glynn_size(a.shape[1])
-    scaled = a / scales[:, None]
-    if np.count_nonzero(scaled) != np.count_nonzero(a):
-        i = int(np.flatnonzero(((scaled == 0) & (a != 0)).any(axis=(0, 2)))[0])
-        raise PrecisionError(f"row {i} divided by its scale {float(scales[i])!r} flushes "
-                             "a nonzero entry to 0")
-    values, errs = _glynn_pass(scaled)
+    # an overflow is reported by the isfinite check below, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = a / scales[:, None]
+        if np.count_nonzero(scaled) != np.count_nonzero(a):
+            i = int(np.flatnonzero(((scaled == 0) & (a != 0)).any(axis=(0, 2)))[0])
+            raise PrecisionError(f"row {i} divided by its scale {float(scales[i])!r} flushes "
+                                 "a nonzero entry to 0")
+        values, errs = _glynn_pass(scaled)
     if not np.isfinite(values).all():
         rows = np.flatnonzero(~np.isfinite(scaled).all(axis=(0, 2)))
         raise PrecisionError((f"row {rows[0]} divided by its scale {float(scales[rows[0]])!r} "

@@ -7,7 +7,8 @@ the constraint class it samples from.
 ``_sample_standard_realizations`` draws trial by trial on the trials' own
 generators: one ``integers(lows, n)`` call for the Fisher-Yates picks, then
 W. ``_StackSampler``'s stacks, read from raw words, must equal it bit for
-bit. ``_span_states`` turns the struct words ``model._span_words`` derives
+bit. ``_struct_words`` turns a state dict into the words the sampler
+takes. ``_span_states`` turns the struct words ``model._span_words`` derives
 into PCG64 state dicts, and ``_span_rngs`` hands out a span's generators in
 those states, so tests can draw from them as from ``trial_rng``'s.
 ``enumerate_constraint_matrices`` yields every matrix a trial's X can be,
@@ -59,6 +60,13 @@ def _sample_standard_realizations(
         w[t] = spec.dist.sample_standard(rng, (n, n))
     # looked up on the module, so a test that patches it sees the picks
     return model._supports(picks, spec.r, n), w
+
+
+def _struct_words(state: dict) -> list[int]:
+    """``model._state_dict``'s inverse: a PCG64 state dict's struct words
+    [state_lo, state_hi, inc_lo, inc_hi]."""
+    state, inc = state["state"]["state"], state["state"]["inc"]
+    return [state & 2**64 - 1, state >> 64, inc & 2**64 - 1, inc >> 64]
 
 
 def _span_states(master_seed: int, start: int, stop: int):

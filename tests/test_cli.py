@@ -475,6 +475,19 @@ class TestConfigFile:
         assert "trails" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cmd, text, message", [
+        ("moments", "n = 3\nr = 2\nn = 5\n", "key 'n' is set on lines 1 and 3"),
+        ("sweep", "n=5,6\nr_rule=const:2\n# again\nr-rule=const:3\n",
+         "key 'r-rule' is set on lines 2 and 4"),
+    ], ids=["same", "underscore"])
+    def test_repeated_config_key_exit_2(self, cmd, text, message, tmp_path, capsys):
+        # the last value does not silently win
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        assert main([cmd, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_config_cannot_replace_missing_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=3\n")

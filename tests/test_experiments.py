@@ -2,8 +2,9 @@ import csv
 import io
 import math
 import os
+import sys
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -322,6 +323,40 @@ class TestBatchEqualsSingle:
             table = -(-n // group) << (min(n, _BLOCK_BITS) - 1)
             assert stack * chunk * table <= max(_CHUNK_ENTRIES, table), n
             assert stack >= 1, n
+
+
+class TestThreads:
+    """A trial is a pure function of (seed, index) on any thread: single
+    trials and batches share no generator."""
+
+    def test_threads_equal_serial(self):
+        spec = ModelSpec.homogeneous(6, 3, DistributionSpec.exponential(1.0))
+        seeds = [TrialSeed(5, i) for i in range(2000)]
+
+        def matrix(seed):
+            x, y = sample_constrained_matrix(spec, seed)
+            return np.stack([x.entries, y.entries])
+
+        def batch(_):
+            return estimate_moments(spec, 1000, 5, workers=1).ratios
+
+        ratios = [run_trial(spec, s) for s in seeds]
+        matrices = [matrix(s) for s in seeds]
+        serial = batch(None)
+        # switch threads as often as the interpreter allows, so a shared
+        # generator is written between one trial's state and its draws
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded_ratios = list(pool.map(lambda s: run_trial(spec, s), seeds))
+                threaded_matrices = list(pool.map(matrix, seeds))
+                batches = list(pool.map(batch, range(2)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded_ratios == ratios
+        assert all(np.array_equal(a, b) for a, b in zip(threaded_matrices, matrices))
+        assert all(np.array_equal(b, serial) for b in batches)
 
 
 class TestRunRangeMemory:

@@ -21,6 +21,7 @@ from sampler_reference import (
     _sample_standard_realizations,
     _span_rngs,
     _span_states,
+    _struct_words,
     enumerate_constraint_matrices,
     sample_row_support,
 )
@@ -239,7 +240,7 @@ class TestRawPicks:
     def _picks_and_w(monkeypatch, spec, states):
         # X is a function of the picks; compare the picks themselves
         monkeypatch.setattr(model, "_supports", lambda picks, r, n: picks)
-        got = _StackSampler(spec)(np.array([model._struct_words(s) for s in states], dtype=np.uint64))
+        got = _StackSampler(spec)(np.array([_struct_words(s) for s in states], dtype=np.uint64))
         want = _sample_standard_realizations(spec, _in_states(states), len(states))
         return got, want
 
@@ -341,7 +342,7 @@ class TestStateView:
         crafted = ((x << 64 | x) - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
         states = [ordinary[0], {"bit_generator": "PCG64", "state": {"state": crafted, "inc": inc},
                                 "has_uint32": 0, "uinteger": 0}, ordinary[1]]
-        words = np.array([model._struct_words(s) for s in states], dtype=np.uint64)
+        words = np.array([_struct_words(s) for s in states], dtype=np.uint64)
         spec = ModelSpec(6, (3, 6, 1, 4, 2, 5), dist)
         sampler = _StackSampler(spec)
         assert isinstance(sampler.block, np.ndarray)

@@ -250,7 +250,7 @@ class TestScaledPermanent:
         with pytest.raises(PrecisionError, match="^row 1 divided by its scale"):
             _glynn_logs(a, np.array([1.0, 1e300, 1.0]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("entries,scales,message", [
         # 1e300 / 1e-300 is inf
         (np.full((1, 1), 1e300), [1e-300], "row 0 divided by its scale 1e-300 overflows"),
