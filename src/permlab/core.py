@@ -143,8 +143,7 @@ _FAMILIES: dict[str, _Family] = {
         delta=lambda p: math.exp(2.0 * p[0] + 2.0 * p[1] ** 2),
         delta_over_nu2=lambda p: math.exp(p[1] ** 2),
         scale=lambda p: math.exp(p[0]), standard_mean=lambda p: math.exp(p[1] ** 2 / 2.0),
-        draw=lambda p, rng, out: np.exp(np.multiply(rng.standard_normal(out=out), p[1], out=out),
-                                        out=out),
+        draw=lambda p, rng, out: np.copyto(out, rng.lognormal(0.0, p[1], out.shape)) or out,
     ),
 }
 _TAG_TO_KIND = {fam.tag: kind for kind, fam in _FAMILIES.items()}
@@ -167,8 +166,8 @@ class DistributionSpec:
 
     Sampling is factored as ``Z = scale * W`` where the law of W does not
     depend on the family's scale parameter (constant: W = 1 with scale c;
-    exponential: W ~ Exp(1) by inverse CDF with scale 1/lam; lognormal:
-    W = exp(s*N(0,1)) with scale e^m; uniform: scale 1, W the a..b draw
+    exponential: W ~ Exp(1) by inverse CDF with scale 1/lam; lognormal: W =
+    libm's exp(s*N(0,1)) with scale e^m; uniform: scale 1, W the a..b draw
     itself). Trial ratios are computed from W alone, so they are
     bit-identical across pure rescalings of the entry law.
     """
@@ -271,7 +270,8 @@ class DistributionSpec:
 
         constant: ones, no generator consumption. uniform: a + (b-a)*U with
         U from ``rng.random``. exponential: ``standard_exponential`` with
-        ``method='inv'`` (inverse CDF). lognormal: exp(s * standard normal).
+        ``method='inv'`` (inverse CDF). lognormal: ``rng.lognormal(0, s)``,
+        libm's exp, not ``np.exp``, whose bits vary with SIMD dispatch.
         Trial sampling makes the same draw in place into its stack.
         """
         return _FAMILIES[self.kind].draw(self.params, rng, np.empty(shape))

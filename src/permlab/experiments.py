@@ -19,7 +19,7 @@ import numpy as np
 from .core import DistributionSpec, ModelSpec, ParseError
 from .model import TrialSeed, _sample_trial, _span_words, _StackSampler
 from .moments import moment_report
-from .permanent import _check_glynn_size, _glynn_logs, _pass_shape
+from .permanent import _check_glynn_size, _glynn_values, _pass_shape
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -71,25 +71,23 @@ def _trial_ratios(spec: ModelSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """T/mu for a stack of trials, from their (X, W) stacks, evaluated in
     one Glynn pass.
 
-    The pass divides row i of X*W by r_i * E[W], and the permanent is
-    divided by the expected permanent in log space; log mu0 carries the
-    same row scales, so they cancel up to rounding.
+    The pass divides row i of X*W by r_i * E[W], whose product times n!/n^n
+    is mu, so T/mu is the scaled permanent (0.0 for a zero) times n^n/n!,
+    one multiply by a correctly rounded integer quotient.
     """
     n = spec.n
     scales = np.array(spec.r) * spec.dist.standard_mean
-    log_mu0 = math.fsum(map(math.log, scales)) + (math.log(math.factorial(n)) - n * math.log(n))
-    # exp(-inf) is 0.0: a zero permanent gives a zero ratio
-    return np.array([math.exp(lv - log_mu0) for lv in _glynn_logs(x * w, scales)])
+    return _glynn_values(x * w, scales) * (n**n / math.factorial(n))
 
 
 def run_trial(spec: ModelSpec, seed: TrialSeed) -> float:
     """One realization of T/mu.
 
-    Samples (X, W) with W the unit-scale weight matrix, evaluates the
+    Samples (X, W) with W the unit-scale weight matrix and evaluates the
     permanent of X*W through the row-rescaled kernel with row scales
-    r_i * E[W], and divides by the expected permanent in log space. The
-    family's scale factor multiplies T and mu by the same scale^n, so it is
-    cancelled algebraically rather than numerically; ratios are therefore
+    r_i * E[W], which the expected permanent shares. The family's scale
+    factor multiplies T and mu by the same scale^n, so it is cancelled
+    algebraically rather than numerically; ratios are therefore
     bit-identical across pure rescalings of the entry law. The ratio is
     exactly 0.0 when, and only when, the support has no perfect matching.
     The trial draws on its own ``trial_rng`` and runs as a stack of one

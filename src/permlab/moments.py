@@ -41,28 +41,27 @@ PAIRS_MAX_N = 7
 ENUMERATE_MAX_N = 6
 
 
+def _log_mu(n: int, log_r: float, log_nu: float) -> ScaledValue:
+    """prod_i r_i * nu^n * n! / n^n from log_r = sum_i log r_i, in log space."""
+    return ScaledValue(math.fsum([log_r, n * log_nu, math.lgamma(n + 1), -n * math.log(n)]))
+
+
 def mu_n(spec: ModelSpec) -> ScaledValue:
     """Expected permanent: prod_i r_i * nu^n * n! / n^n, in log space."""
-    n = spec.n
-    log_mu = math.fsum(
-        [math.fsum(math.log(ri) for ri in spec.r),
-         n * math.log(spec.dist.nu),
-         math.lgamma(n + 1),
-         -n * math.log(n)]
-    )
-    return ScaledValue(log_mu)
+    return _log_mu(spec.n, math.fsum(map(math.log, spec.r)), math.log(spec.dist.nu))
 
 
 def vdw_bound(n: int, r: int) -> ScaledValue:
-    """r^n * n! / n^n: the permanent lower bound for 0-1 matrices with r
-    ones in every row and column. Equals mu_n for the homogeneous 0-1 spec.
+    """r^n * n! / n^n, the permanent lower bound for 0-1 matrices with r ones
+    in every row and column: mu_n of the homogeneous 0-1 spec bit for bit,
+    since n log r rounds once, as mu_n's fsum of n copies of log r does.
 
     The sampled model constrains rows only, so this is a reference line,
     not a guaranteed bound for sampled matrices.
     """
     if not 1 <= r <= n:
         raise ValueError(f"r must be in 1..{n}, got {r}")
-    return ScaledValue(n * math.log(r) + math.lgamma(n + 1) - n * math.log(n))
+    return _log_mu(n, n * math.log(r), 0.0)
 
 
 class AlphaBeta(NamedTuple):

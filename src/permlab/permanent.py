@@ -3,8 +3,9 @@
 Two kernels: a direct sum over permutations (the correctness oracle, n <= 10)
 and Glynn's formula, a signed sum over 2^(n-1) column sign patterns, in one
 double-precision pass (the fast path, n <= 30), entered only through
-``_glynn_logs``, which runs it on rows divided by their scales and adds the
-scales' logs back. On a nonnegative matrix no Glynn term exceeds prod_i
+``_glynn_values``, which runs it on rows divided by their scales and returns
+the scaled permanents; ``per_scaled`` adds the scales' logs back and trials
+multiply by n^n/n!. On a nonnegative matrix no Glynn term exceeds prod_i
 rowsum_i, so little cancels: on row-rescaled trial matrices
 tests/test_kernel_accuracy.py::test_glynn_pass_accuracy_table holds the
 relative error at n = 13-20. A result inside the pass's rounding bound is
@@ -226,20 +227,19 @@ def _check_glynn_size(n: int) -> None:
         raise SizeLimitError(f"Glynn kernel limited to n <= {RYSER_MAX_N}, got {n}")
 
 
-def _glynn_logs(a: np.ndarray, scales: np.ndarray) -> list[float]:
-    """log per(A) for each matrix of a nonnegative (B, n, n) stack, via one
-    Glynn pass; -inf marks an exact zero. Guarded at n <= RYSER_MAX_N.
+def _glynn_values(a: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """per(D^-1 A) for each matrix of a nonnegative (B, n, n) stack, D the
+    diagonal of the finite positive ``scales``, via one Glynn pass; an exact
+    zero is 0.0. Guarded at n <= RYSER_MAX_N.
 
-    Row i of every matrix is divided by the finite positive ``scales[i]``,
-    which keeps the pass near magnitude one, and sum log scales is added to
-    every finite log. A nonzero entry that the division flushes to 0.0
-    would leave the support: a PrecisionError naming its row, never a false
-    zero. A pass that leaves the double range is a PrecisionError too,
-    naming the first row the division overflows if there is one. A value
-    within the pass's rounding bound is decided on the support: exactly
-    zero when it has no perfect matching, and a PrecisionError when it has
-    one but the value is not positive. An empty row or column marks a zero
-    without the matching search. No result is clamped.
+    The division keeps the pass near magnitude one. A nonzero entry that it
+    flushes to 0.0 would leave the support: a PrecisionError naming its row,
+    never a false zero. A pass that leaves the double range is a
+    PrecisionError too, naming the first row the division overflows if
+    there is one. A value within the pass's rounding bound is decided on
+    the support: exactly zero when it has no perfect matching, a
+    PrecisionError when it has one but the value is not positive; an empty
+    row or column marks a zero without the matching search. Nothing is clamped.
     """
     _check_glynn_size(a.shape[1])
     # an overflow is reported by the isfinite check below, not by a warning
@@ -257,16 +257,15 @@ def _glynn_logs(a: np.ndarray, scales: np.ndarray) -> list[float]:
     flagged = np.flatnonzero(values <= errs)
     support = scaled[flagged] != 0
     covered = support.any(axis=2).all(axis=1) & support.any(axis=1).all(axis=1)
-    zeros = set(flagged[~covered].tolist())
+    zeros = flagged[~covered].tolist()
     for k in flagged[covered].tolist():
         if not _has_perfect_matching(scaled[k]):
-            zeros.add(k)
+            zeros.append(k)
         elif values[k] <= 0:
             raise PrecisionError(f"permanent {float(values[k])!r} is within its rounding "
                                  f"bound {errs[k]:.3g} but the support has a perfect matching")
-    log_scales = math.fsum(map(math.log, scales))
-    return [-math.inf if k in zeros else math.log(v) + log_scales
-            for k, v in enumerate(values.tolist())]
+    values[zeros] = 0.0
+    return values
 
 
 def per_ryser(m: DenseMatrix) -> ScaledValue:
@@ -284,7 +283,8 @@ def per_ryser(m: DenseMatrix) -> ScaledValue:
 
 
 def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
-    """Permanent via ``_glynn_logs`` with row i divided by ``row_scales[i]``.
+    """Permanent via ``_glynn_values`` with row i divided by ``row_scales[i]``,
+    log v + sum_i log row_scales[i] for the scaled permanent v.
 
     With scales near each row's size the pass stays near magnitude one,
     which keeps the relative error bounded up to the n <= 30 guard where
@@ -296,4 +296,5 @@ def per_scaled(m: DenseMatrix, row_scales) -> ScaledValue:
         raise ValueError(f"need {m.n} row scales, got shape {scales.shape}")
     if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
         raise ValueError("row scales must be finite and positive")
-    return ScaledValue(_glynn_logs(m.entries[None], scales)[0])
+    v = float(_glynn_values(m.entries[None], scales)[0])
+    return ScaledValue(math.log(v) + math.fsum(map(math.log, scales)) if v else -math.inf)

@@ -72,7 +72,7 @@ def cross_check_suite(
                             _rel_ok(second_pairs, second_oracle))
             )
 
-            # the paper states its closed form for equal row counts r >= 2
+            # every entry has a ratio, but perfbench's VERIFY_CHECKS pins the count
             if spec.is_homogeneous and spec.r_low >= 2:
                 closed = moment_report(spec).exact_ratio
                 checks.append(

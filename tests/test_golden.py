@@ -17,6 +17,9 @@ recorded pin fails, naming itself: record its pins from a known-good build.
 import ast
 import ctypes
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +66,16 @@ def _pinned(pins: dict[str, str]) -> str:
 def test_mc_csv_bytes():
     # `permlab mc --n 4 --r 2 --dist exp:1 --trials 400 --seed 7` prints this;
     # its exact_ratio cell is the quadrature's (the sum over agreement sets
-    # printed ...575 in its last digits, SkylakeX 460ea73a...)
+    # printed ...575 in its last digits, SkylakeX 460ea73a...), and its
+    # ratios one product, the scaled permanent times n^n/n! (a log and an
+    # exp printed 3147698d... on SkylakeX)
     batch = estimate_moments(ModelSpec.homogeneous(4, 2, DistributionSpec.exponential(1.0)), 400, 7)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
-        "SkylakeX": "3147698d03a54a079d89b422b88482b3a97b8d5f4cfbf38ea11942f7d324b41b",
-        "Haswell": "3147698d03a54a079d89b422b88482b3a97b8d5f4cfbf38ea11942f7d324b41b",
-        "Nehalem": "3147698d03a54a079d89b422b88482b3a97b8d5f4cfbf38ea11942f7d324b41b",
-        "Sandybridge": "e06bac5d4771fa7c7264293f6f77e90e776f8775a68b98e9152efd0bfaacc00f",
-        "Katmai": "689ad1e4c681df0bf4f8076a5748cca39d11cd8f601fcc766ec824a4de75a6c1",
+        "SkylakeX": "784a607a339a13b0b4d71e88425bb35514c7d96f1aadc23ebba62b059476bce1",
+        "Haswell": "784a607a339a13b0b4d71e88425bb35514c7d96f1aadc23ebba62b059476bce1",
+        "Nehalem": "784a607a339a13b0b4d71e88425bb35514c7d96f1aadc23ebba62b059476bce1",
+        "Sandybridge": "784a607a339a13b0b4d71e88425bb35514c7d96f1aadc23ebba62b059476bce1",
+        "Katmai": "59eb500f31ebb69e3847de2529410054ff60e52644ded5301a38dd5b07bf473e",
     })
 
 
@@ -79,14 +84,16 @@ def test_mc_csv_bytes_across_seed_pieces():
     # prints this; the span crosses two seed pieces and many trial stacks,
     # and W takes the normal ziggurat. The dist cell is quoted (it holds a
     # comma); the text is otherwise that of b8082b33... Its exact_ratio cell
-    # is the quadrature's (SkylakeX printed d068f3fa... before).
+    # is the quadrature's (SkylakeX printed d068f3fa... before). W takes
+    # libm's exp and the ratios n^n/n! times the scaled permanent (SkylakeX
+    # printed e5b88aff... before).
     batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec.lognormal(0.0, 1.0)), 9000, 23)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
-        "SkylakeX": "e5b88aff1df3aada2b8eecac1d92f66f72ee2d029f35ec5fbeac71e4e7678771",
-        "Haswell": "b281564aff9f2e94a449f4e438e6e214a375c0dff67349e06f05c4794aaf809f",
-        "Nehalem": "91147f8d5f77546df009d1ce2d99a8c657ccce6b7c28729b2a7421ad3ff4ad96",
-        "Sandybridge": "b281564aff9f2e94a449f4e438e6e214a375c0dff67349e06f05c4794aaf809f",
-        "Katmai": "91147f8d5f77546df009d1ce2d99a8c657ccce6b7c28729b2a7421ad3ff4ad96",
+        "SkylakeX": "57090ef74cab75b42aca7f664641351532ae404a2fde84bce40216ce2088e567",
+        "Haswell": "d4051273720f0cdeed34d2b029704933bf9478caa95a832e5fa27368ec7b8a15",
+        "Nehalem": "1db036cd41ace6033cf31b1d41bb57c476a80d9d81eba9d812c2cbb6273ba287",
+        "Sandybridge": "d4051273720f0cdeed34d2b029704933bf9478caa95a832e5fa27368ec7b8a15",
+        "Katmai": "1db036cd41ace6033cf31b1d41bb57c476a80d9d81eba9d812c2cbb6273ba287",
     })
 
 
@@ -105,14 +112,16 @@ def test_sweep_csv_bytes_across_stack_sizes():
     # --trials 8 --seed 5` prints this; n = 13 samples trials in stacks of
     # six, n = 14 of three and n = 15 of one. Rows go in groups of three
     # from n = 13 (it was n = 17, and SkylakeX printed dd2380f1...); the
-    # exact_ratio cells are the quadrature's (SkylakeX printed edd96ff0...).
+    # exact_ratio cells are the quadrature's (SkylakeX printed edd96ff0...);
+    # W takes libm's exp and the ratios one product (SkylakeX printed
+    # 1c0512f7... before).
     plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
     assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == _pinned({
-        "SkylakeX": "1c0512f7d181c2de8d9ec6d185c0d90efe223ae5acd5dd897c21af9cf2df6978",
-        "Haswell": "c46f7881c2c65c04bcf90295848c392e7ef8953932816d4682d1912642ff1882",
-        "Nehalem": "c0c4739b96a1b06c5386ec97e5d28ab8630ddb5a57e7f0b59e82c97091aa7b2a",
-        "Sandybridge": "7a598254ce19dff7731004375271129d5cbb04e2d267de4b5fd8bd5c19e99e60",
-        "Katmai": "ba2bc0c403fc69226ba7dce0388c68e572a9b2dd1c3f23a25363cda48561dc38",
+        "SkylakeX": "b6dee6ee15b35137460ddc396ea735ada90207392da7e7174ad58cdbc7b72c8f",
+        "Haswell": "f40f496f700ec8b519f0003f04367279008db72d535e6225b232a7bfbe28afb2",
+        "Nehalem": "973d4f23cdccd33743f25e196989e9d5df64e5ef242c216e1515b49bacc49067",
+        "Sandybridge": "528cb6c05121e3c43009c2418264ce4992f7ed88bb5ee281e585977040966d11",
+        "Katmai": "0e2030c0e7bda42a9b35d1a762cfa5a9d5b1731141c0806990a6387b47309f5e",
     })
 
 
@@ -124,6 +133,35 @@ def test_sample_bytes_half_full_rows():
         "29b0c5ae4d1210fe8d9b1162f4b54e07a544486a32563b6ef83e03738c04e32d")
     assert _sha256(y.entries.astype("<f8").tobytes()) == (
         "0173739ae55dc6c316a28fa4c2340775620de6a14c2997f65b28cfaa9d5fcc52")
+
+
+def _avx512_dispatch() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this CPU runs: ``X86_V4`` and
+    the ``AVX512*`` names in numpy's dispatch list, since naming any other
+    in NPY_DISABLE_CPU_FEATURES is an ImportWarning. On a host without
+    AVX-512 the list is empty."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__
+            if (f == "X86_V4" or f.startswith("AVX512")) and __cpu_features__.get(f)]
+
+
+def test_pins_do_not_depend_on_simd_dispatch():
+    # the CSV and sample pins again with numpy's AVX-512 loops off, whose
+    # np.exp differs from libm's exp in the last bit; the child reads each
+    # of them off, and numpy imports there without a warning
+    off = _avx512_dispatch()
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
+    probe = ("import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+             "print(*[n for n in sys.argv[1:] if f[n]])")
+    child = subprocess.run([sys.executable, "-W", "error", "-c", probe, *off], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "\n", "")
+    pins = ["test_mc_csv_bytes", "test_mc_csv_bytes_across_seed_pieces", "test_sample_bytes",
+            "test_sweep_csv_bytes_across_stack_sizes", "test_sample_bytes_half_full_rows"]
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            *[f"{__file__}::{name}" for name in pins]],
+                           env=env, cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0 and f"{len(pins)} passed" in child.stdout, child.stdout + child.stderr
 
 
 @pytest.mark.parametrize("algorithm", ["ryser", "naive"])
@@ -159,7 +197,7 @@ nu = 1
 delta = 2
 mu_log = 15.121633198363906
 mu = 3.6918313671696e+06
-vdw_log = 15.121633198363909
+vdw_log = 15.121633198363906
 vdw = 3.6918313671696e+06
 alpha_up = 5.72215169650748e-01
 beta_up = 3.1428571428571428

@@ -11,11 +11,13 @@ n u (u the unit roundoff).
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from permlab.core import DenseMatrix, DistributionSpec, ModelSpec
+from permlab.experiments import estimate_moments, run_trial
 from permlab.model import TrialSeed, sample_constrained_matrix
 from permlab.permanent import _glynn_pass, per_ryser, per_scaled
 
@@ -115,6 +117,21 @@ def test_per_ryser_exact_on_01_in_groups(r_of_n):
         v = per_ryser(DenseMatrix(x))
         assert round(v.to_float()) == exact
         assert abs(v.to_float() - exact) <= _glynn_pass(x[None])[1][0]
+
+
+@pytest.mark.parametrize("n,r", [(6, 4), (8, 4), (8, 8), (12, 4), (12, 8), (16, 4), (16, 8)])
+def test_trial_ratio_within_an_ulp_under_const1(n, r):
+    # under const:1 the pass divides 0-1 rows by a power of two, so T/mu =
+    # per(X) n^n / (r^n n!) is held to within an ulp of its rounded value,
+    # batch and single trial alike (a log and an exp took up to 38 ulps here)
+    spec = ModelSpec.homogeneous(n, r, DistributionSpec.constant(1.0))
+    trials, seed = 24, 31
+    batch = estimate_moments(spec, trials, seed, workers=1).ratios
+    for i in range(trials):
+        x = sample_constrained_matrix(spec, TrialSeed(seed, i))[0].entries
+        want = float(Fraction(exact_per01(x) * n**n, r**n * math.factorial(n)))
+        for got in (batch[i], run_trial(spec, TrialSeed(seed, i))):
+            assert abs(got - want) <= math.ulp(want), (i, got, want)
 
 
 @pytest.mark.parametrize("n", [12, 13, 14, 17, 18, 20])

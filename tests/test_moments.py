@@ -109,10 +109,11 @@ class TestVdw:
         assert vdw_bound(4, 1).to_float() == pytest.approx(24 / 256, rel=1e-12)
 
     def test_matches_homogeneous_mu(self):
-        for n, r in ((4, 2), (7, 3), (12, 8)):
-            assert vdw_bound(n, r).log_mag == pytest.approx(
-                mu_n(ModelSpec.homogeneous(n, r, CONST1)).log_mag, abs=1e-12
-            )
+        # one formula: moments prints the same mu and vdw bytes
+        for n in (3, 12, 100, 10**3, 10**4, 10**5):
+            for r in sorted({2, 3, math.isqrt(n), n // 2, n}):
+                want = mu_n(ModelSpec.homogeneous(n, r, CONST1)).log_mag
+                assert vdw_bound(n, r).log_mag == want, (n, r)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

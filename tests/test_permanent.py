@@ -9,8 +9,8 @@ from permlab.core import DenseMatrix, DistributionSpec, ModelSpec, PrecisionErro
 from permlab.experiments import estimate_moments
 from permlab.permanent import (
     _BLOCK_BITS,
-    _glynn_logs,
     _glynn_pass,
+    _glynn_values,
     _has_perfect_matching,
     _low_signs,
     _pass_shape,
@@ -176,9 +176,9 @@ class TestZeroScreen:
         monkeypatch.setattr(permanent, "_has_perfect_matching", counted)
         empty_column = np.array([[1.0, 0, 1], [1, 0, 1], [0, 0, 1]])
         hall = np.array([[1.0, 0, 0], [1, 0, 0], [0, 1, 1]])  # rows {0}, {0}, {1, 2}
-        logs = _glynn_logs(np.stack([empty_column, hall, np.ones((3, 3))]), np.ones(3))
-        assert logs[:2] == [-math.inf, -math.inf]
-        assert logs[2] == pytest.approx(math.log(6), rel=1e-14)
+        values = _glynn_values(np.stack([empty_column, hall, np.ones((3, 3))]), np.ones(3))
+        assert values[:2].tolist() == [0.0, 0.0]
+        assert values[2] == pytest.approx(6, rel=1e-14)
         assert len(calls) == 1 and np.array_equal(calls[0], hall)
         # mc-small's run, `mc --n 6 --r 3 --dist exp:1 --trials 20000 --seed
         # 5`: of its 1983 zero trials, the 1873 with an empty column (no row
@@ -248,7 +248,7 @@ class TestScaledPermanent:
         a = np.ones((3, 3, 3))
         a[1, 1, 2] = 1e-30
         with pytest.raises(PrecisionError, match="^row 1 divided by its scale"):
-            _glynn_logs(a, np.array([1.0, 1e300, 1.0]))
+            _glynn_values(a, np.array([1.0, 1e300, 1.0]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("entries,scales,message", [
