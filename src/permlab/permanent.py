@@ -13,12 +13,12 @@ settled on the support: exactly zero without a perfect matching, an error
 with one. Both kernels are deterministic: repeated calls on the same matrix
 are bit-identical.
 
-The Glynn pass handles its high sign patterns in chunks. A term's factor
-over rows is formed three rows at a time: a chunk's table is one stacked
-product of each pattern's base-sum coefficients with each group's
-low-row-sum products, base sums stay one product per pattern, signed sums
-one np.vecdot per chunk (numpy's per-row dot), added in pattern order. The
-pass therefore equals the one-pattern-at-a-time loop bit for bit.
+The Glynn pass takes its high sign patterns in spans and chunks with no
+Python step per pattern: a span's base sums are one batched product, a
+term's factor over rows is formed three rows at a time, a chunk's signed
+sums are one np.vecdot (numpy's per-row dot), and one cumsum per span adds
+them in pattern order. The pass therefore equals the one-pattern-at-a-time
+loop bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def _low_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pass_shape(n: int) -> tuple[int, int, int]:
     """(stack, chunk, group): the rows go in groups of g, three when there
-    are high patterns (see _chunk_products) and one in the one-table pass;
+    are high patterns (see _pattern_sums) and one in the one-table pass;
     then the largest power of two of the 2^(n-b) high patterns, then the
     most matrices whose table of ceil(n/g) group rows fits _CHUNK_ENTRIES."""
     b = min(n, _BLOCK_BITS)
@@ -112,30 +111,31 @@ def _subset_products(out: np.ndarray, group: int) -> None:
         np.multiply(out[subsets.index(u[:-1])], out[1 + u[-1]], out=out[t])
 
 
-def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
-    """For each chunk of high sign patterns of a (B, n, n) stack, in pattern
-    order, its first pattern h0 and the (B, H, 2^(b-1)) products over rows
-    of the low table L plus each pattern's base row sums B = a[:, :, b:] @
-    signs.
+def _pattern_sums(a: np.ndarray, b: int) -> np.ndarray:
+    """Per matrix of a (B, n, n) stack, the sum of prod_k d_k prod_i sum_j
+    d_j a_ij over the sign patterns d (d_0 = +1), taken in pattern order.
 
-    Rows go in groups of g = 3: row i = j k + q, k = ceil(n/g), is member
-    j of group q; rows past n are padding, L = 1 and B = 0. A group's
-    factor prod_i (L_i + B_i) is sum_u C_u P_u over the subsets u of its
-    members (``_subsets`` order), with P_u = prod_{i in u} L_i and C_u =
-    prod_{i not in u} B_i. P is one (2^g, 2^(b-1)) block per group and
-    matrix; C is built per span of base sums; a chunk's table is one
-    stacked product C @ P. The base sums stay one product per pattern,
-    since one product over a chunk's patterns changes their last bits.
-    No buffer grows with 2^(n-b): the table holds one chunk, and a span
-    the most patterns (a power of two, at least a chunk) whose coefficients
-    C fit _CHUNK_ENTRIES.
+    The low table L holds each row's signed sums over the 2^(b-1) low
+    patterns; high pattern h adds base row sums B = a[:, :, b:] @ d_h. Rows
+    go in groups of g = 3: row i = j k + q, k = ceil(n/g), is member j of
+    group q; rows past n are padding, L = 1 and B = 0. A group's factor
+    prod_i (L_i + B_i) is sum_u C_u P_u over the subsets u of its members
+    (``_subsets`` order), P_u = prod_{i in u} L_i one (2^g, 2^(b-1)) block
+    per group and matrix, C_u = prod_{i not in u} B_i. A span's B are one
+    batched matmul (its loop hands each pattern to gemv, as ``a_hi @ d``
+    does); a chunk's table is one stacked product C @ P, multiplied over the
+    groups in place, in group order, and its signed sums one np.vecdot into
+    the span's rows. Those of odd patterns are negated, exactly, and one
+    np.cumsum adds them to the running total in pattern order: bit for bit
+    the add-or-subtract loop, signed zeros included. No buffer grows with
+    2^(n-b): the table holds one chunk, and a span the most patterns (a
+    power of two, at least a chunk) whose C fit _CHUNK_ENTRIES.
     """
-    signs = _low_signs(b)[0]
+    signs, sign_low = _low_signs(b)
     m, n, _ = a.shape
     if n == b:
-        # one high pattern, whose zero base leaves the low table as it is
-        yield 0, np.prod(a @ signs.T, axis=1)[:, None]
-        return
+        # one high pattern, whose zero base leaves L as it is; totals start at +0.0
+        return 0.0 + np.vecdot(sign_low, np.prod(a @ signs.T, axis=1))
     _, chunk, group = _pass_shape(n)
     rows, nsub, width = -(-n // group), 1 << group, len(signs)
     # one block holds P and the table: as two blocks of this size, malloc
@@ -150,7 +150,6 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
     members[:, n:] = 1.0
     _subset_products(lows.swapaxes(0, 1), group)
     lows = lows.transpose(0, 2, 1, 3)
-    prods = np.empty((m, chunk, width))
     a_hi = a[:, :, b:]
     shifts = np.arange(n - b)
     fit = max(1, _CHUNK_ENTRIES // (m * rows * nsub))
@@ -160,25 +159,30 @@ def _chunk_products(a: np.ndarray, b: int) -> Iterator[tuple[int, np.ndarray]]:
     # by_complement[t] is C at t's complement: the product of B over t's members
     by_complement = coefs.transpose(3, 0, 1, 2)[::-1]
     by_complement[0] = 1.0
+    # row 0 is the running total, row 1 + j pattern s0 + j's signed sum
+    sums = np.zeros((span + 1, m))
     for s0 in range(0, 1 << (n - b), span):
-        for j, d in enumerate(1.0 - 2 * ((np.arange(s0, s0 + span)[:, None] >> shifts) & 1)):
-            np.matmul(a_hi, d, out=bases[j, :, :n])
+        d = 1.0 - 2 * ((np.arange(s0, s0 + span)[:, None] >> shifts) & 1)
+        np.matmul(a_hi, d[:, None, :, None], out=bases[:, :, :n, None])
         by_complement[1:1 + group] = bases.reshape(span, m, group, rows).transpose(2, 1, 3, 0)
         _subset_products(by_complement, group)
         for c0 in range(0, span, chunk):
             np.matmul(coefs[:, :, c0:c0 + chunk], lows, out=table)
-            yield s0 + c0, np.multiply.reduce(table, axis=1, out=prods)
+            for q in range(1, rows):
+                np.multiply(table[:, 0], table[:, q], out=table[:, 0])
+            np.vecdot(sign_low, table[:, 0], out=sums[1 + c0:1 + c0 + chunk].T)
+        # times each pattern's high sign prod_k d_k, +-1, exactly
+        sums[1:] *= np.prod(d, axis=1)[:, None]
+        sums[0] = np.cumsum(sums, axis=0, out=sums)[-1]
+    return sums[0]
 
 
 def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Glynn's formula in one double-precision pass over a (B, n, n) stack.
 
     per(A) = 2^-(n-1) sum over d in {+1,-1}^n, d_0 = +1, of
-    prod_k d_k prod_i sum_j d_j a_ij. The low block's signed row sums are one
-    table per matrix; each high pattern adds its base row sums
-    a[:, hi] @ signs to it. A chunk's signed sums are one np.vecdot (the
-    per-row dot), added to the totals in pattern order, so a matrix's value
-    depends neither on its stack nor on the chunking.
+    prod_k d_k prod_i sum_j d_j a_ij, that sum being ``_pattern_sums``'s, so
+    a matrix's value depends neither on its stack nor on the chunking.
 
     Returns (values, errs), one entry per matrix. For nonnegative ``a`` no
     term exceeds P = prod_i rowsum_i, so the rounding error is below
@@ -193,15 +197,10 @@ def _glynn_pass(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[1]
     b = min(n, _BLOCK_BITS)
     group = _pass_shape(n)[2]
-    sign_low = _low_signs(b)[1]
-    totals = np.zeros(len(a))
-    for h0, prods in _chunk_products(a, b):
-        for j, sums in enumerate(np.vecdot(sign_low, prods).T):
-            (np.subtract if (h0 + j).bit_count() & 1 else np.add)(totals, sums, out=totals)
     rowprods = np.prod(a.sum(axis=2), axis=1)
     per_term = n * n + -(-n // group) * ((1 << group) + 2 * group - 2)
-    errs = (per_term + len(sign_low) + (1 << (n - b))) * _EPS * rowprods
-    return np.ldexp(totals, 1 - n), errs
+    errs = (per_term + (1 << (b - 1)) + (1 << (n - b))) * _EPS * rowprods
+    return np.ldexp(_pattern_sums(a, b), 1 - n), errs
 
 
 def _has_perfect_matching(a: np.ndarray) -> bool:

@@ -1,14 +1,17 @@
 """The per-pattern Glynn pass, kept as a bit-identity oracle for
 ``permlab.permanent._glynn_pass``.
 
-This is the pass before high sign patterns were grouped into chunks: one
-product per high pattern. Rows go in groups of the kernel's size g (three
-whenever there are high patterns), and a group's factor prod (L_i + B_i) is
-sum_u C_u P_u over the subsets u of its members, each product taken here
-straight from its factors. The chunked pass performs the same roundings in
-the same order, so its values and errs must equal these bit for bit. In
-the one-table pass (n <= 12, g = 1) the factor is [B_i, 1] @ [1; L_i] with
-B_i = 0, which leaves each low row sum as it is.
+This is the pass with one Python step per high sign pattern: its base sums
+``a_hi @ d`` (a gemv), its product over groups, one per-row dot with the
+low signs, and one add or subtract into the running total. Rows go in
+groups of the kernel's size g (three whenever there are high patterns), and
+a group's factor prod (L_i + B_i) is sum_u C_u P_u over the subsets u of
+its members, each product taken here straight from its factors. The kernel
+takes a span's base sums in one batched matmul, multiplies a chunk's groups
+in place and adds a span's signed sums with one cumsum; those are the same
+roundings in the same order, so its values and errs must equal these bit
+for bit. In the one-table pass (n <= 12, g = 1) the factor is [B_i, 1] @
+[1; L_i] with B_i = 0, which leaves each low row sum as it is.
 """
 
 import numpy as np

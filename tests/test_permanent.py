@@ -205,6 +205,42 @@ class TestVecdotCanary:
         want = np.array([[sign_low.dot(row) for row in pattern] for pattern in prods])
         assert np.array_equal(np.vecdot(sign_low, prods), want)
 
+    @pytest.mark.parametrize("b", range(1, _BLOCK_BITS + 1))
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_vecdot_into_span_rows(self, b, m):
+        # as the pass calls it: group 0 of a (m, rows, chunk, 2^(b-1)) table
+        # into a chunk's rows of the (span + 1, m) array, a transposed view
+        sign_low = _low_signs(b)[1]
+        rng = np.random.default_rng(2000 * b + m)
+        table = rng.standard_normal((m, 5, 4, len(sign_low))) * rng.exponential(1.0, (m, 5, 4, 1))
+        sums = np.zeros((1 + 3 * 4, m))
+        np.vecdot(sign_low, table[:, 0], out=sums[5:9].T)
+        want = np.array([[sign_low.dot(row) for row in pattern] for pattern in table[:, 0]])
+        assert np.array_equal(sums[5:9].T, want)
+        assert not sums[:5].any() and not sums[9:].any()
+
+
+class TestGemvCanary:
+    """A span's base sums are one batched np.matmul of the high columns with
+    the span's sign rows. numpy's matmul loop must hand each pattern's
+    product to gemv, as the per-pattern ``a_hi @ d`` does; a numpy that
+    sends the batch elsewhere changes the pass's last bits."""
+
+    @pytest.mark.parametrize("k", range(1, 19))
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_batched_base_sums_equal_per_pattern(self, k, m):
+        n = _BLOCK_BITS + k
+        rng = np.random.default_rng(3000 * k + m)
+        a = rng.standard_normal((m, n, n)) * rng.exponential(1.0, (m, n, 1))
+        a_hi = a[:, :, _BLOCK_BITS:]
+        s0 = (1 << k) - min(1 << k, 64)
+        d = 1.0 - 2 * ((np.arange(s0, 1 << k)[:, None] >> np.arange(k)) & 1)
+        bases = np.zeros((len(d), m, 3 * -(-n // 3)))
+        np.matmul(a_hi, d[:, None, :, None], out=bases[:, :, :n, None])
+        want = np.stack([a_hi @ row for row in d])
+        assert np.array_equal(bases[:, :, :n], want), (
+            "batched matmul differs from per-pattern gemv: the Glynn pass's base sums change bits")
+
 
 class TestScaledPermanent:
     def test_diagonal_with_scales(self):
@@ -322,6 +358,22 @@ class TestChunkedPassMatchesReference:
             assert np.array_equal(values, want_values), name
             assert np.array_equal(errs, want_errs), name
 
+    @pytest.mark.parametrize("n", range(12, 21))
+    def test_sign_of_zero(self, n):
+        # np.array_equal takes -0.0 for 0.0: the signs are checked apart. With
+        # an all-zero row every pattern's sum is +-0, and the total's sign
+        # comes from the running total's +0.0 start.
+        rng = np.random.default_rng(700 + n)
+        zero_row = _rescaled(_support(rng, [n // 2] * n), rng)
+        zero_row[n // 3] = 0.0
+        hi_zero = _rescaled(_support(rng, [n // 2] * n), rng)
+        hi_zero[:, _BLOCK_BITS:] = 0.0
+        for name, a in {"zero row": zero_row, "high columns zero": hi_zero}.items():
+            values = _glynn_pass(a[None])[0]
+            want = glynn_pass_reference(a[None])[0]
+            assert np.array_equal(values, want), name
+            assert np.array_equal(np.signbit(values), np.signbit(want)), name
+
 
 class TestSpanFromPassBudget:
     """A span of base sums holds as many high patterns as _CHUNK_ENTRIES
@@ -339,6 +391,20 @@ class TestSpanFromPassBudget:
         assert budget // (stack * n) < 1 << (n - _BLOCK_BITS)
         rng = np.random.default_rng(900 + n)
         a = _rescaled(np.stack([_support(rng, [n // 2] * n) for _ in range(stack)]), rng)
+        values, errs = _glynn_pass(a)
+        want_values, want_errs = glynn_pass_reference(a)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(errs, want_errs)
+
+    @pytest.mark.parametrize("budget", [1 << 8, 1 << 9])
+    def test_one_pattern_chunks(self, budget, monkeypatch):
+        # at n = 14 either budget leaves chunks of one pattern; a stack of two
+        # then takes spans of two (2^8) or four (2^9) patterns, so each chunk's
+        # np.vecdot writes one row of the span array, and every row is written
+        monkeypatch.setattr(permanent, "_CHUNK_ENTRIES", budget)
+        assert _pass_shape(14)[1] == 1
+        rng = np.random.default_rng(914)
+        a = _rescaled(np.stack([_support(rng, [7] * 14) for _ in range(2)]), rng)
         values, errs = _glynn_pass(a)
         want_values, want_errs = glynn_pass_reference(a)
         assert np.array_equal(values, want_values)
