@@ -6,9 +6,11 @@ batch to CSV), ``sweep`` (dimension sweep to CSV), ``verify`` (cross-oracle
 identity suite).
 
 Exit codes: 0 success, 1 runtime or statistical failure, 2 usage or guard
-error. Machine output goes to stdout or the requested file only; the
-resolved configuration, including the master seed, is echoed to stderr so
-every run can be reproduced.
+error. Machine output goes to stdout or the requested file only. Right after
+parsing and worker resolution, ``main`` echoes the resolved configuration,
+master seed included, to stderr once, so every run says what it was asked,
+a refused one too (all but a bad --workers count); k equal comma-list
+entries in a row echo as ``v*k``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import groupby
 
 from .core import (
     DistributionSpec,
@@ -62,16 +65,12 @@ def _fmt_from_log(log_mag: float) -> str:
     return f"{mant.rstrip('0').rstrip('.')}e{exp10 + int(carry):+03d}"
 
 
-def _parse_r_spec(text: str, n: int) -> tuple[int, ...]:
-    """A single integer (homogeneous) or a comma list (ModelSpec checks its length)."""
-    parts = [tok.strip() for tok in text.split(",")]
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """A comma list of integers; ``what`` names it in the error."""
     try:
-        values = [int(tok) for tok in parts]
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ParseError(f"bad r spec {text!r}") from exc
-    if len(values) == 1:
-        return (values[0],) * n
-    return tuple(values)
+        raise ParseError(f"bad {what} {text!r}") from exc
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -119,10 +118,13 @@ def _config_argv(argv: list[str]) -> list[str]:
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    """Echo every resolved option to stderr."""
-    parts = [f"cmd={args.command}"] + [
-        f"{k}={v}" for k, v in vars(args).items() if k not in ("func", "command", "config")
-    ]
+    """Echo every resolved option to stderr, each run of k > 1 equal entries
+    of a comma list written ``v*k``: a 10^5-count --r stays one short line."""
+    parts = [f"cmd={args.command}"]
+    for key, value in vars(args).items():
+        if key not in ("func", "command", "config"):
+            runs = [(v, len(list(g))) for v, g in groupby(str(value).split(","))]
+            parts.append(f"{key}=" + ",".join(v if k == 1 else f"{v}*{k}" for v, k in runs))
     print("# " + " ".join(parts), file=sys.stderr)
 
 
@@ -138,8 +140,9 @@ def _build_spec(args: argparse.Namespace) -> ModelSpec:
     if args.n > max_n:
         raise SizeLimitError(f"{what} limited to n <= {max_n}, got {args.n}")
     dist = DistributionSpec.from_string(args.dist)
-    r = _parse_r_spec(args.r, args.n)
-    return ModelSpec(args.n, r, dist)
+    r = _int_list(args.r, "r spec")
+    # a single count is the homogeneous spec; ModelSpec checks a list's length
+    return ModelSpec(args.n, r * args.n if len(r) == 1 else r, dist)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -155,7 +158,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_per(args: argparse.Namespace) -> int:
-    _echo_config(args)
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
     value = per_naive(m) if args.algorithm == "naive" else per_ryser(m)
@@ -168,7 +170,6 @@ def cmd_per(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    _echo_config(args)
     x, y = sample_constrained_matrix(spec, TrialSeed(args.seed, args.trial))
     _emit(write_matrix(x if args.matrix == "x" else y), args.out)
     return 0
@@ -176,7 +177,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    _echo_config(args)
     rep = moment_report(spec)
     lines = [
         f"n = {spec.n}",
@@ -213,9 +213,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    args.workers = _resolve_workers(args.workers)
     spec = _build_spec(args)
-    _echo_config(args)
     batch = estimate_moments(
         spec, args.trials, args.seed, workers=args.workers, epsilon=args.epsilon
     )
@@ -224,26 +222,19 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    args.workers = _resolve_workers(args.workers)
-    try:
-        ns = tuple(int(tok) for tok in args.n.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad n list {args.n!r}") from exc
     plan = SweepPlan(
-        ns=ns,
+        ns=_int_list(args.n, "n list"),
         r_rule=args.r_rule,
         dist=DistributionSpec.from_string(args.dist),
         trials=args.trials,
         master_seed=args.seed,
         epsilon=args.epsilon,
     )
-    _echo_config(args)
     _emit(csv_text(concentration_sweep(plan, workers=args.workers)), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _echo_config(args)
     checks = cross_check_suite()
     failures = 0
     for chk in checks:
@@ -325,15 +316,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_config_argv(argv))
+        if "workers" in args:
+            args.workers = _resolve_workers(args.workers)
+        _echo_config(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (PermlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PrecisionError) else 2
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1

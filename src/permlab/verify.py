@@ -3,9 +3,9 @@ desk scale. Exercised by the ``verify`` CLI subcommand and the test suite."""
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
-from .core import DistributionSpec, ModelSpec, ScaledValue
+from .core import DistributionSpec, ModelSpec
 from .moments import (
     brute_second_moment_pairs,
     exact_moments_enumerate,
@@ -46,12 +46,8 @@ def _rel_ok(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * abs(b)
 
 
-def cross_check_suite(
-    mu_fn: Optional[Callable[[ModelSpec], ScaledValue]] = None,
-) -> list[OracleCheck]:
-    """Run every identity in the menu; ``mu_fn`` is injectable so the test
-    suite can confirm that a wrong mean formula is actually caught."""
-    mean_formula = mu_fn if mu_fn is not None else mu_n
+def cross_check_suite() -> list[OracleCheck]:
+    """Run every identity in the menu."""
     checks: list[OracleCheck] = []
     for dist_str in _VERIFY_DISTS:
         dist = DistributionSpec.from_string(dist_str)
@@ -60,7 +56,7 @@ def cross_check_suite(
             tag = f"({n},({','.join(map(str, r))}),{dist_str})"
             mean_oracle, second_oracle = exact_moments_enumerate(spec)
 
-            mean_val = mean_formula(spec).to_float()
+            mean_val = mu_n(spec).to_float()
             checks.append(
                 OracleCheck(f"{tag} mean", mean_val, mean_oracle,
                             _rel_ok(mean_val, mean_oracle))

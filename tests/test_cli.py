@@ -10,7 +10,7 @@ import pytest
 
 from permlab.cli import main
 from permlab.verify import OracleCheck, cross_check_suite
-from permlab.core import DomainError, ScaledValue
+from permlab.core import DomainError, PrecisionError, ScaledValue, SizeLimitError
 from test_kernel_accuracy import exact_per01
 
 
@@ -151,9 +151,11 @@ class TestUsage:
     def test_missing_required_flag_exit_2(self):
         assert main(["moments", "--n", "3"]) == 2
 
-    def test_bad_r_spec_exit_2(self):
+    def test_bad_r_spec_exit_2(self, capsys):
         assert main(["moments", "--n", "3", "--r", "1,2"]) == 2
         assert main(["moments", "--n", "3", "--r", "x"]) == 2
+        assert main(["mc", "--n", "4", "--r", "3,x"]) == 2
+        assert "error: bad r spec '3,x'" in capsys.readouterr().err
 
     def test_bad_dist_exit_2(self):
         assert main(["moments", "--n", "3", "--r", "2", "--dist", "weird:1"]) == 2
@@ -171,6 +173,61 @@ class TestUsage:
         assert main(["moments", "--n", "3", "--r", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("error: hypothesis not met\n")
+
+    @pytest.mark.parametrize("exc,code", [
+        (PrecisionError("unresolved"), 1),
+        (SizeLimitError("too big"), 2),
+        (ValueError("bad value"), 2),
+        (OSError("no such file"), 1),
+    ], ids=["precision", "size-limit", "value", "os"])
+    def test_error_exit_codes(self, exc, code, monkeypatch, capsys):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr("permlab.cli.cmd_verify", fail)
+        assert main(["verify"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {exc}\n")
+
+
+class TestEcho:
+    @pytest.mark.parametrize("cmd,code", [
+        (["mc", "--n", "100000", "--r", "2"], 2),
+        (["sample", "--n", "100000", "--r", "2"], 2),
+        (["moments", "--n", "100000000", "--r", "2"], 2),
+        (["sweep", "--n", "3,3", "--r-rule", "const:2"], 2),
+        (["sweep", "--n", "3,x", "--r-rule", "const:2"], 2),
+        (["mc", "--n", "4", "--r", "3,x"], 2),
+        (["mc", "--n", "3", "--r", "2", "--trials", "10", "--dist", "foo:1"], 2),
+        (["mc", "--n", "3", "--r", "2", "--trials", "10", "--seed", "-1"], 2),
+        (["per", "--input", "missing.txt"], 1),
+    ], ids=["mc-n", "sample-n", "moments-n", "sweep-repeat", "sweep-n-list", "mc-r-list",
+            "mc-dist", "mc-seed", "per-missing"])
+    def test_refused_run_echoes_once_first(self, cmd, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PERMLAB_WORKERS", raising=False)
+        assert main(cmd) == code
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 2
+        assert lines[0].startswith(f"# cmd={cmd[0]} ") and "error: " in lines[1]
+
+    def test_long_r_list_echoes_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "two-groups.cfg"
+        cfg.write_text("n = 100000\ndist = exp:1\nr = "
+                       + ",".join(["400"] * 50000 + ["800"] * 50000) + "\n")
+        assert main(["moments", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert "\nexact_ratio = " in out
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert " r=400*50000,800*50000 " in err
+
+    def test_other_lists_echo_as_given(self, capsys):
+        assert main(["sweep", "--n", "3,4", "--r-rule", "const:2", "--dist", "uniform:1,2",
+                     "--trials", "10", "--workers", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("# cmd=sweep ") and err.count("\n") == 1
+        assert " n=3,4 " in err and " dist=uniform:1,2 " in err
 
 
 class TestMoments:
@@ -272,10 +329,8 @@ class TestVerify:
         assert "a: formula=1 oracle=1 ok\nb: formula=1 oracle=2 MISMATCH\n" in out
         assert out.endswith("1/2 checks passed\n")
 
-    def test_injected_mean_typo_fails_suite(self):
+    def test_injected_mean_typo_fails_suite(self, monkeypatch):
         # flip n!/n^n to n^n/n!: every mean check must blow up
-        import math
-
         def broken_mu(spec):
             n = spec.n
             log_mu = (
@@ -286,7 +341,8 @@ class TestVerify:
             )
             return ScaledValue(log_mu)
 
-        checks = cross_check_suite(mu_fn=broken_mu)
+        monkeypatch.setattr("permlab.verify.mu_n", broken_mu)
+        checks = cross_check_suite()
         mean_checks = [c for c in checks if "mean" in c.label]
         assert mean_checks and all(not c.ok for c in mean_checks)
         assert any(not c.ok for c in checks)
