@@ -236,14 +236,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = cross_check_suite()
-    failures = 0
     for chk in checks:
         mark = "ok" if chk.ok else "MISMATCH"
         print(f"{chk.label}: formula={_fmt(chk.formula)} oracle={_fmt(chk.oracle)} {mark}")
-        if not chk.ok:
-            failures += 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1
+    passed = sum(chk.ok for chk in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 # -- parser -----------------------------------------------------------------

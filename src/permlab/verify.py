@@ -1,5 +1,6 @@
 """Cross-oracle verification: closed forms against exhaustive enumeration at
-desk scale. Exercised by the ``verify`` CLI subcommand and the test suite."""
+desk scale. A check passes when |formula - oracle| <= REL_TOL * |oracle|.
+Exercised by the ``verify`` CLI subcommand and the test suite."""
 
 from __future__ import annotations
 
@@ -42,37 +43,24 @@ class OracleCheck(NamedTuple):
     ok: bool
 
 
-def _rel_ok(a: float, b: float) -> bool:
-    return abs(a - b) <= REL_TOL * abs(b)
-
-
 def cross_check_suite() -> list[OracleCheck]:
     """Run every identity in the menu."""
     checks: list[OracleCheck] = []
+
+    def check(label: str, formula: float, oracle: float) -> None:
+        checks.append(OracleCheck(label, formula, oracle,
+                                  abs(formula - oracle) <= REL_TOL * abs(oracle)))
+
     for dist_str in _VERIFY_DISTS:
         dist = DistributionSpec.from_string(dist_str)
         for n, r in VERIFY_SPECS:
             spec = ModelSpec(n, r, dist)
             tag = f"({n},({','.join(map(str, r))}),{dist_str})"
             mean_oracle, second_oracle = exact_moments_enumerate(spec)
-
-            mean_val = mu_n(spec).to_float()
-            checks.append(
-                OracleCheck(f"{tag} mean", mean_val, mean_oracle,
-                            _rel_ok(mean_val, mean_oracle))
-            )
-
             second_pairs, pair_ratio = brute_second_moment_pairs(spec)
-            checks.append(
-                OracleCheck(f"{tag} second-moment", second_pairs, second_oracle,
-                            _rel_ok(second_pairs, second_oracle))
-            )
-
+            check(f"{tag} mean", mu_n(spec).to_float(), mean_oracle)
+            check(f"{tag} second-moment", second_pairs, second_oracle)
             # every entry has a ratio, but perfbench's VERIFY_CHECKS pins the count
             if spec.is_homogeneous and spec.r_low >= 2:
-                closed = moment_report(spec).exact_ratio
-                checks.append(
-                    OracleCheck(f"{tag} homogeneous-ratio", closed, pair_ratio,
-                                _rel_ok(closed, pair_ratio))
-                )
+                check(f"{tag} homogeneous-ratio", moment_report(spec).exact_ratio, pair_ratio)
     return checks

@@ -8,8 +8,9 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from permlab.cli import main
-from permlab.verify import OracleCheck, cross_check_suite
+from permlab.cli import _fmt_from_log, main
+from permlab.moments import mu_n
+from permlab.verify import REL_TOL, OracleCheck, cross_check_suite
 from permlab.core import DomainError, PrecisionError, ScaledValue, SizeLimitError
 from test_kernel_accuracy import exact_per01
 
@@ -230,6 +231,19 @@ class TestEcho:
         assert " n=3,4 " in err and " dist=uniform:1,2 " in err
 
 
+class TestFmtFromLog:
+    def test_mantissa_carry_bumps_exponent(self):
+        # one ulp below log(10^6): the mantissa 9.99... rounds up to 10
+        log_mag = math.nextafter(6 * math.log(10), 0.0)
+        assert math.floor(log_mag / math.log(10)) == 5
+        assert _fmt_from_log(log_mag) == "1e+06"
+
+    def test_seventeen_digit_cap(self):
+        # a log near 0 has a tiny ulp, yet no more digits than a double holds
+        assert _fmt_from_log(0.0) == "1e+00"
+        assert _fmt_from_log(1e-5) == "1.0000100000500001e+00"
+
+
 class TestMoments:
     def test_homogeneous_report(self, capsys):
         assert main(["moments", "--n", "3", "--r", "2", "--dist", "const:1"]) == 0
@@ -346,6 +360,15 @@ class TestVerify:
         mean_checks = [c for c in checks if "mean" in c.label]
         assert mean_checks and all(not c.ok for c in mean_checks)
         assert any(not c.ok for c in checks)
+
+    @pytest.mark.parametrize("rel,ok", [(0.5 * REL_TOL, True), (2 * REL_TOL, False)])
+    def test_tolerance_is_relative(self, monkeypatch, rel, ok):
+        # every mu off by rel: within REL_TOL of the oracle it passes, past it not
+        monkeypatch.setattr("permlab.verify.mu_n",
+                            lambda spec: ScaledValue(mu_n(spec).log_mag + math.log1p(rel)))
+        mean_checks = [c for c in cross_check_suite() if c.label.endswith(" mean")]
+        assert len(mean_checks) == 20
+        assert all(c.ok == ok for c in mean_checks)
 
 
 class TestMcSweep:

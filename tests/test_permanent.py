@@ -377,18 +377,22 @@ class TestChunkedPassMatchesReference:
 
 class TestSpanFromPassBudget:
     """A span of base sums holds as many high patterns as _CHUNK_ENTRIES
-    doubles allow. Shrunk to 2^12, the budget holds 204 of n = 20's 256
-    patterns for one matrix, so the pass runs two spans of 128 (four of 64
-    for a stack of three); shrunk to 2^6, not even one pattern of a stack of
-    five at n = 13, so each span is one chunk. Each stays the per-pattern
-    pass bit for bit."""
+    doubles allow, each pattern's C being ceil(n/3) rows of 2^3 subsets per
+    matrix. At the real budget, 2^17, n = 24's 4096 patterns for one matrix
+    run as two spans of 2048. Shrunk to 2^12, the budget holds 73 of n =
+    20's 256 patterns for one matrix, so the pass runs four spans of 64
+    (sixteen of 16 for a stack of three); shrunk to 2^6, not even one
+    pattern of a stack of five at n = 13, so each span is one chunk. Each
+    stays the per-pattern pass bit for bit."""
 
     @pytest.mark.parametrize("n,stack,budget", [
         (20, 1, 1 << 12), (20, 3, 1 << 12), (19, 3, 1 << 12), (13, 5, 1 << 6),
+        (24, 1, permanent._CHUNK_ENTRIES),
     ])
     def test_multi_span_pass_bit_identical(self, n, stack, budget, monkeypatch):
         monkeypatch.setattr(permanent, "_CHUNK_ENTRIES", budget)
-        assert budget // (stack * n) < 1 << (n - _BLOCK_BITS)
+        group = _pass_shape(n)[2]
+        assert budget // (stack * -(-n // group) << group) < 1 << (n - _BLOCK_BITS)
         rng = np.random.default_rng(900 + n)
         a = _rescaled(np.stack([_support(rng, [n // 2] * n) for _ in range(stack)]), rng)
         values, errs = _glynn_pass(a)
