@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = shared()
     run.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                      help="deviation threshold of p_dev (default %(default)s)")
-    run.add_argument("--workers", type=int,
-                     help="trial parallelism (default $PERMLAB_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="trial parallelism (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="permlab",

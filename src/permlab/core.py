@@ -89,10 +89,9 @@ _Params = tuple[float, ...]
 
 
 class _Family(NamedTuple):
-    """One entry-law family: its CLI tag and arity, its parameter rule and
-    the message naming it, its closed forms, and the fixed in-place draw of W."""
+    """One entry-law family: its arity, its parameter rule and the message
+    naming it, its closed forms, and the fixed in-place draw of W."""
 
-    tag: str
     arity: int
     valid: Callable[[_Params], bool]
     rule: str
@@ -117,28 +116,28 @@ def _uniform_delta(p: _Params) -> float:
 # values. Lognormal nu stays exp(m + s^2/2), not scale * standard_mean,
 # which differs in the last bit.
 _FAMILIES: dict[str, _Family] = {
-    "constant": _Family(
-        "const", 1, lambda p: p[0] > 0, "constant distribution requires c > 0",
+    "const": _Family(
+        1, lambda p: p[0] > 0, "constant distribution requires c > 0",
         nu=lambda p: p[0], delta=lambda p: p[0] ** 2, delta_over_nu2=lambda p: 1.0,
         scale=lambda p: p[0], standard_mean=lambda p: 1.0,
         draw=lambda p, rng, out: out.fill(1.0) or out,
     ),
     "uniform": _Family(
-        "uniform", 2, lambda p: 0 < p[0] < p[1], "uniform distribution requires 0 < a < b",
+        2, lambda p: 0 < p[0] < p[1], "uniform distribution requires 0 < a < b",
         nu=_uniform_nu, delta=_uniform_delta,
         delta_over_nu2=lambda p: _uniform_delta(p) / _uniform_nu(p) ** 2,
         scale=lambda p: 1.0, standard_mean=_uniform_nu,
         draw=lambda p, rng, out: np.add(np.multiply(rng.random(out=out), p[1] - p[0], out=out),
                                         p[0], out=out),
     ),
-    "exponential": _Family(
-        "exp", 1, lambda p: p[0] > 0, "exponential distribution requires rate > 0",
+    "exp": _Family(
+        1, lambda p: p[0] > 0, "exponential distribution requires rate > 0",
         nu=lambda p: 1.0 / p[0], delta=lambda p: 2.0 / p[0] ** 2, delta_over_nu2=lambda p: 2.0,
         scale=lambda p: 1.0 / p[0], standard_mean=lambda p: 1.0,
         draw=lambda p, rng, out: rng.standard_exponential(out=out, method="inv"),
     ),
     "lognormal": _Family(
-        "lognormal", 2, lambda p: p[1] > 0, "lognormal distribution requires scale s > 0",
+        2, lambda p: p[1] > 0, "lognormal distribution requires scale s > 0",
         nu=lambda p: math.exp(p[0] + p[1] ** 2 / 2.0),
         delta=lambda p: math.exp(2.0 * p[0] + 2.0 * p[1] ** 2),
         delta_over_nu2=lambda p: math.exp(p[1] ** 2),
@@ -146,28 +145,28 @@ _FAMILIES: dict[str, _Family] = {
         draw=lambda p, rng, out: np.copyto(out, rng.lognormal(0.0, p[1], out.shape)) or out,
     ),
 }
-_TAG_TO_KIND = {fam.tag: kind for kind, fam in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """Law of a single weight entry Z.
 
-    Restricted to four families that are positive almost surely and have
-    closed-form mean ``nu = E Z`` and second moment ``delta = E Z^2``:
+    ``kind`` is one of four family tags; each family is positive almost
+    surely and has closed-form mean ``nu = E Z`` and second moment
+    ``delta = E Z^2``:
 
-        constant c        (c > 0)      nu = c            delta = c^2
-        uniform a,b       (0 < a < b)  nu = (a+b)/2      delta = (a^2+ab+b^2)/3
-        exponential lam   (lam > 0)    nu = 1/lam        delta = 2/lam^2
-        lognormal m,s     (s > 0)      nu = e^{m+s^2/2}  delta = e^{2m+2s^2}
+        const:c           (c > 0)      nu = c            delta = c^2
+        uniform:a,b       (0 < a < b)  nu = (a+b)/2      delta = (a^2+ab+b^2)/3
+        exp:lam           (lam > 0)    nu = 1/lam        delta = 2/lam^2
+        lognormal:m,s     (s > 0)      nu = e^{m+s^2/2}  delta = e^{2m+2s^2}
 
     ``nu``, ``delta`` and ``delta / nu^2`` must each be a finite positive
     double; parameters whose moments overflow or underflow are rejected.
 
     Sampling is factored as ``Z = scale * W`` where the law of W does not
-    depend on the family's scale parameter (constant: W = 1 with scale c;
-    exponential: W ~ Exp(1) by inverse CDF with scale 1/lam; lognormal: W =
-    libm's exp(s*N(0,1)) with scale e^m; uniform: scale 1, W the a..b draw
+    depend on the family's scale parameter (const: W = 1 with scale c; exp:
+    W ~ Exp(1) by inverse CDF with scale 1/lam; lognormal: W = libm's
+    exp(s*N(0,1)) with scale e^m; uniform: scale 1, W the a..b draw
     itself). Trial ratios are computed from W alone, so they are
     bit-identical across pure rescalings of the entry law.
     """
@@ -197,30 +196,12 @@ class DistributionSpec:
                     "double range (must be finite and > 0)"
                 )
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(c: float) -> "DistributionSpec":
-        return DistributionSpec("constant", (c,))
-
-    @staticmethod
-    def uniform(a: float, b: float) -> "DistributionSpec":
-        return DistributionSpec("uniform", (a, b))
-
-    @staticmethod
-    def exponential(rate: float) -> "DistributionSpec":
-        return DistributionSpec("exponential", (rate,))
-
-    @staticmethod
-    def lognormal(m: float, s: float) -> "DistributionSpec":
-        return DistributionSpec("lognormal", (m, s))
-
     @staticmethod
     def from_string(text: str) -> "DistributionSpec":
         """Parse ``const:c``, ``uniform:a,b``, ``exp:lambda``, ``lognormal:m,s``."""
         head, sep, tail = text.strip().partition(":")
-        kind = _TAG_TO_KIND.get(head.strip())
-        if not sep or kind is None:
+        kind = head.strip()
+        if not sep or kind not in _FAMILIES:
             raise ParseError(f"bad distribution string {text!r}")
         try:
             params = tuple(float(tok) for tok in tail.split(","))
@@ -234,7 +215,7 @@ class DistributionSpec:
     def spec_string(self) -> str:
         """Canonical ``kind:params`` form, inverse of ``from_string``."""
         params = ",".join(f"{p:.17g}" for p in self.params)
-        return f"{_FAMILIES[self.kind].tag}:{params}"
+        return f"{self.kind}:{params}"
 
     # -- moments -----------------------------------------------------------
 
@@ -268,8 +249,8 @@ class DistributionSpec:
     def sample_standard(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         """Draw W with the documented, fixed method per family.
 
-        constant: ones, no generator consumption. uniform: a + (b-a)*U with
-        U from ``rng.random``. exponential: ``standard_exponential`` with
+        const: ones, no generator consumption. uniform: a + (b-a)*U with
+        U from ``rng.random``. exp: ``standard_exponential`` with
         ``method='inv'`` (inverse CDF). lognormal: ``rng.lognormal(0, s)``,
         libm's exp, not ``np.exp``, whose bits vary with SIMD dispatch.
         Trial sampling makes the same draw in place into its stack.

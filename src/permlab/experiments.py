@@ -167,21 +167,11 @@ class TrialBatch:
         return float(np.mean(np.abs(self.ratios - 1.0) > self.epsilon))
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """Worker count from the argument, else $PERMLAB_WORKERS, else 1.
-
-    Counts <= 0 are rejected; larger ones are capped at the CPUs this
-    process may run on, or at the host's CPUs where the OS cannot tell
-    (no os.sched_getaffinity on macOS and Windows).
+def _resolve_workers(workers: int) -> int:
+    """The worker count to run: counts <= 0 are rejected; larger ones are
+    capped at the CPUs this process may run on, or at the host's CPUs where
+    the OS cannot tell (no os.sched_getaffinity on macOS and Windows).
     """
-    if workers is None:
-        env = os.environ.get("PERMLAB_WORKERS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"bad PERMLAB_WORKERS value {env!r}") from None
     if workers <= 0:
         raise ValueError(f"worker count must be positive, got {workers}")
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -212,7 +202,7 @@ def estimate_moments(
     trials: int,
     master_seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
     epsilon: float = DEFAULT_EPSILON,
 ) -> TrialBatch:
     """Run trials 0..trials-1 and summarize.
@@ -355,7 +345,7 @@ def _row_master_seed(master_seed: int, n: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def concentration_sweep(plan: SweepPlan, *, workers: int | None = None) -> list[SweepRow]:
+def concentration_sweep(plan: SweepPlan, *, workers: int = 1) -> list[SweepRow]:
     """One batch per dimension in the plan, each from its own derived stream."""
     rows = []
     for n in plan.ns:

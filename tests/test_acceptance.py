@@ -40,8 +40,8 @@ from permlab.permanent import per_naive, per_ryser
 from paper_series import second_moment_series
 from sampler_reference import sample_row_support
 
-CONST1 = DistributionSpec.constant(1)
-EXP1 = DistributionSpec.exponential(1)
+CONST1 = DistributionSpec("const", (1,))
+EXP1 = DistributionSpec("exp", (1,))
 DISTS = (CONST1, EXP1)
 REL = 1e-10
 

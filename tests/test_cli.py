@@ -206,7 +206,6 @@ class TestEcho:
             "mc-dist", "mc-seed", "per-missing"])
     def test_refused_run_echoes_once_first(self, cmd, code, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("PERMLAB_WORKERS", raising=False)
         assert main(cmd) == code
         out, err = capsys.readouterr()
         lines = err.splitlines()
@@ -483,12 +482,21 @@ class TestMcSweep:
         assert "master_seed must be a 64-bit nonnegative integer" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_nonpositive_workers_exit_2(self, workers, monkeypatch, capsys):
+    def test_nonpositive_workers_exit_2(self, workers, capsys):
         args = ["mc", "--n", "3", "--r", "2", "--trials", "10"]
         assert main(args + ["--workers", workers]) == 2
-        monkeypatch.setenv("PERMLAB_WORKERS", workers)
-        assert main(args) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["0", "many"])
+    def test_workers_environment_variable_ignored(self, value, monkeypatch, capsys):
+        # the worker count comes from --workers alone
+        args = ["mc", "--n", "3", "--r", "2", "--trials", "10", "--seed", "7"]
+        monkeypatch.delenv("PERMLAB_WORKERS", raising=False)
+        assert main(args) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("PERMLAB_WORKERS", value)
+        assert main(args) == 0
+        assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize("cmd", [
         ["mc", "--n", "3", "--r", "2", "--trials", "10", "--epsilon", "nan"],
@@ -614,11 +622,13 @@ class TestImports:
 
     def test_cli_loads_no_process_pool(self):
         # a run with one worker never starts a pool, so need not import one
-        probe = ("import sys, permlab.cli; print(sorted({'multiprocessing', "
+        probe = ("import sys, permlab.cli; "
+                 "assert permlab.cli.main(['mc', '--n', '6', '--r', '3', '--trials', '200', "
+                 "'--workers', '1']) == 0; print(sorted({'multiprocessing', 'concurrent.futures', "
                  "'concurrent.futures.process'} & set(sys.modules)))")
         r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout == "[]\n"
+        assert r.stdout.startswith("n,r_low,") and r.stdout.endswith("\n[]\n")
 
 
 def env_without_blas_threads(**extra):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import math
 import os
@@ -12,7 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from permlab import experiments
-from permlab.cli import main
+from permlab.cli import build_parser, main
 from permlab.core import DistributionSpec, ModelSpec, SizeLimitError
 from permlab.experiments import (
     CSV_HEADER,
@@ -32,9 +33,9 @@ from permlab.experiments import (
 from permlab.model import _SEED_PIECE, TrialSeed, sample_constrained_matrix, trial_rng
 from permlab.moments import moment_report
 from permlab.permanent import _BLOCK_BITS, _CHUNK_ENTRIES, _pass_shape
-from sampler_reference import _span_states
+from sampler_reference import _span_states, enumerate_constraint_matrices
 
-CONST1 = DistributionSpec.constant(1)
+CONST1 = DistributionSpec("const", (1,))
 SPEC3 = ModelSpec(3, (2, 2, 2), CONST1)
 
 
@@ -53,7 +54,7 @@ class TestRunTrial:
         assert hi == pytest.approx(9 / 8, abs=1e-12)
 
     def test_same_seed_bit_identical(self):
-        spec = ModelSpec(6, (2, 3, 4, 2, 5, 6), DistributionSpec.exponential(1.0))
+        spec = ModelSpec(6, (2, 3, 4, 2, 5, 6), DistributionSpec("exp", (1.0,)))
         a = run_trial(spec, TrialSeed(42, 17))
         b = run_trial(spec, TrialSeed(42, 17))
         assert a == b
@@ -66,22 +67,22 @@ class TestRunTrial:
 
     def test_constant_scale_invariance_bitwise(self):
         r = (2, 3, 2, 4, 5)
-        spec_c = ModelSpec(5, r, DistributionSpec.constant(3.7))
+        spec_c = ModelSpec(5, r, DistributionSpec("const", (3.7,)))
         spec_1 = ModelSpec(5, r, CONST1)
         for i in range(40):
             assert run_trial(spec_c, TrialSeed(9, i)) == run_trial(spec_1, TrialSeed(9, i))
 
     def test_exponential_rate_invariance_bitwise(self):
         r = (2, 3, 2, 4, 5)
-        e1 = ModelSpec(5, r, DistributionSpec.exponential(1.0))
-        e2 = ModelSpec(5, r, DistributionSpec.exponential(2.0))
+        e1 = ModelSpec(5, r, DistributionSpec("exp", (1.0,)))
+        e2 = ModelSpec(5, r, DistributionSpec("exp", (2.0,)))
         for i in range(40):
             assert run_trial(e1, TrialSeed(9, i)) == run_trial(e2, TrialSeed(9, i))
 
     def test_lognormal_location_invariance_bitwise(self):
         r = (2, 3, 2, 4)
-        l1 = ModelSpec(4, r, DistributionSpec.lognormal(0.0, 0.7))
-        l2 = ModelSpec(4, r, DistributionSpec.lognormal(2.5, 0.7))
+        l1 = ModelSpec(4, r, DistributionSpec("lognormal", (0.0, 0.7)))
+        l2 = ModelSpec(4, r, DistributionSpec("lognormal", (2.5, 0.7)))
         for i in range(40):
             assert run_trial(l1, TrialSeed(9, i)) == run_trial(l2, TrialSeed(9, i))
 
@@ -202,7 +203,7 @@ class TestZeroPermanents:
     @pytest.mark.parametrize("n", [3, 6, 8])
     @pytest.mark.parametrize("r", [2, 3])
     def test_zero_ratio_iff_no_perfect_matching(self, n, r):
-        spec = ModelSpec(n, (r,) * n, DistributionSpec.exponential(1.0))
+        spec = ModelSpec(n, (r,) * n, DistributionSpec("exp", (1.0,)))
         zeros = 0
         for i in range(150):
             seed = TrialSeed(99, i)
@@ -237,28 +238,20 @@ class _InlinePool:
 
 
 class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("PERMLAB_WORKERS", raising=False)
-        assert _resolve_workers(None) == 1
+    def test_default_is_one(self):
+        for func in (estimate_moments, concentration_sweep):
+            assert inspect.signature(func).parameters["workers"].default == 1
+        for cmd in (["mc", "--n", "3", "--r", "2"], ["sweep", "--n", "3", "--r-rule", "sqrt-log"]):
+            assert build_parser().parse_args(cmd).workers == 1
 
     @pytest.mark.parametrize("bad", [0, -1])
-    def test_nonpositive_rejected(self, bad, monkeypatch):
+    def test_nonpositive_rejected(self, bad):
         with pytest.raises(ValueError):
             _resolve_workers(bad)
-        monkeypatch.setenv("PERMLAB_WORKERS", str(bad))
-        with pytest.raises(ValueError):
-            _resolve_workers(None)
 
-    def test_env_not_an_integer(self, monkeypatch):
-        monkeypatch.setenv("PERMLAB_WORKERS", "many")
-        with pytest.raises(ValueError):
-            _resolve_workers(None)
-
-    def test_capped_at_usable_cpus(self, monkeypatch):
+    def test_capped_at_usable_cpus(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert _resolve_workers(10_000) == cpus
-        monkeypatch.setenv("PERMLAB_WORKERS", "10000")
-        assert _resolve_workers(None) == cpus
         assert _resolve_workers(1) == 1
 
     def test_without_affinity_capped_at_host_cpus(self, monkeypatch, capsys):
@@ -279,18 +272,19 @@ class TestWorkerCount:
 
 
 BATCH_LAWS = (
-    DistributionSpec.constant(2.0),
-    DistributionSpec.uniform(0.5, 2.0),
-    DistributionSpec.exponential(1.5),
-    DistributionSpec.lognormal(0.3, 0.8),
+    DistributionSpec("const", (2.0,)),
+    DistributionSpec("uniform", (0.5, 2.0)),
+    DistributionSpec("exp", (1.5,)),
+    DistributionSpec("lognormal", (0.3, 0.8)),
 )
+LAW_IDS = ("constant", "uniform", "exponential", "lognormal")
 
 
 class TestBatchEqualsSingle:
     """A batch's ratios are run_trial's, bit for bit, whatever the stack
     and span boundaries."""
 
-    @pytest.mark.parametrize("dist", BATCH_LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("dist", BATCH_LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 13, 16, 18])
     def test_ratios_equal_run_trial(self, n, dist, monkeypatch):
         # rows with r_i = 1 and r_i = n, the rest mixed
@@ -307,7 +301,7 @@ class TestBatchEqualsSingle:
 
     def test_capped_stack_crosses_a_boundary(self):
         # at n = 3 a stack is a whole seed piece, more than the test above fills
-        spec = ModelSpec(3, (1, 3, 2), DistributionSpec.exponential(1.5))
+        spec = ModelSpec(3, (1, 3, 2), DistributionSpec("exp", (1.5,)))
         trials = _SEED_PIECE + 3
         single = [run_trial(spec, TrialSeed(21, i)) for i in range(trials)]
         assert np.array_equal(estimate_moments(spec, trials, 21, workers=1).ratios, single)
@@ -330,7 +324,7 @@ class TestThreads:
     trials and batches share no generator."""
 
     def test_threads_equal_serial(self):
-        spec = ModelSpec.homogeneous(6, 3, DistributionSpec.exponential(1.0))
+        spec = ModelSpec.homogeneous(6, 3, DistributionSpec("exp", (1.0,)))
         seeds = [TrialSeed(5, i) for i in range(2000)]
 
         def matrix(seed):
@@ -387,16 +381,9 @@ class TestRunRangeMemory:
 
 class TestParallelism:
     def test_worker_count_does_not_change_results(self):
-        spec = ModelSpec(6, (3,) * 6, DistributionSpec.exponential(1.0))
+        spec = ModelSpec(6, (3,) * 6, DistributionSpec("exp", (1.0,)))
         b1 = estimate_moments(spec, 150, 11, workers=1)
         b2 = estimate_moments(spec, 150, 11, workers=3)
-        assert np.array_equal(b1.ratios, b2.ratios)
-
-    def test_env_var_workers(self, monkeypatch):
-        monkeypatch.setenv("PERMLAB_WORKERS", "2")
-        b1 = estimate_moments(SPEC3, 40, 5)
-        monkeypatch.delenv("PERMLAB_WORKERS")
-        b2 = estimate_moments(SPEC3, 40, 5)
         assert np.array_equal(b1.ratios, b2.ratios)
 
 
@@ -453,8 +440,8 @@ class TestSweepAndCsv:
     def test_comma_in_dist_is_one_quoted_cell(self):
         # `sweep --n 3,4 --r-rule const:2 --dist lognormal:0,1` and a uniform
         # row: a csv reader sees 17 fields in each, the spec string whole
-        plan = SweepPlan((3, 4), "const:2", DistributionSpec.lognormal(0.0, 1.0), 5, 1)
-        uniform = estimate_moments(ModelSpec.homogeneous(3, 2, DistributionSpec.uniform(0.5, 2.0)), 5, 1)
+        plan = SweepPlan((3, 4), "const:2", DistributionSpec("lognormal", (0.0, 1.0)), 5, 1)
+        uniform = estimate_moments(ModelSpec.homogeneous(3, 2, DistributionSpec("uniform", (0.5, 2.0))), 5, 1)
         text = csv_text([*concentration_sweep(plan), summary_row(uniform)])
         records = list(csv.reader(io.StringIO(text)))
         assert [len(rec) for rec in records] == [17] * 4
@@ -503,7 +490,7 @@ class TestSweepAndCsv:
     def test_row_seed_reproduces_the_row(self):
         # README's sweep-row rule: row n's seed is SeedSequence(plan seed,
         # spawn_key=(n,))'s first uint64 word, and mc with it prints the row
-        plan = SweepPlan(ns=(3, 5), r_rule="const:2", dist=DistributionSpec.exponential(1.0),
+        plan = SweepPlan(ns=(3, 5), r_rule="const:2", dist=DistributionSpec("exp", (1.0,)),
                          trials=30, master_seed=2)
         for row in concentration_sweep(plan):
             ss = np.random.SeedSequence(2, spawn_key=(row.n,))
@@ -514,8 +501,8 @@ class TestSweepAndCsv:
     def test_exponential_rate_rows_identical_in_distribution(self):
         # inverse-CDF sampling makes the whole ratio set bit-equal across rates
         r = (5,) * 12
-        b1 = estimate_moments(ModelSpec(12, r, DistributionSpec.exponential(2.0)), 60, 13)
-        b2 = estimate_moments(ModelSpec(12, r, DistributionSpec.exponential(1.0)), 60, 13)
+        b1 = estimate_moments(ModelSpec(12, r, DistributionSpec("exp", (2.0,))), 60, 13)
+        b2 = estimate_moments(ModelSpec(12, r, DistributionSpec("exp", (1.0,))), 60, 13)
         assert np.array_equal(b1.ratios, b2.ratios)
         se = max(b1.se_mean, 1e-12)
         assert abs(b1.mean_ratio - b2.mean_ratio) < 3 * math.sqrt(2) * se
@@ -530,9 +517,9 @@ class TestChebyshevBound:
     @pytest.mark.parametrize("r_rule,dist,ns,epsilon", [
         ("const:3", CONST1, (3, 4, 5, 6), 0.5),
         ("sqrt-log", CONST1, (4, 5, 6, 7, 8), 0.25),
-        ("sqrt-log", DistributionSpec.uniform(0.5, 2.0), (4, 6, 8), 0.75),
-        ("power:0.9", DistributionSpec.lognormal(0.0, 0.5), (4, 6), 0.75),
-        ("fixed:2,4,3,5,1", DistributionSpec.uniform(1.0, 3.0), (5,), 0.75),
+        ("sqrt-log", DistributionSpec("uniform", (0.5, 2.0)), (4, 6, 8), 0.75),
+        ("power:0.9", DistributionSpec("lognormal", (0.0, 0.5)), (4, 6), 0.75),
+        ("fixed:2,4,3,5,1", DistributionSpec("uniform", (1.0, 3.0)), (5,), 0.75),
     ])
     def test_p_dev_below_second_moment_bound(self, r_rule, dist, ns, epsilon):
         plan = SweepPlan(ns=ns, r_rule=r_rule, dist=dist, trials=1000, master_seed=41,
@@ -542,3 +529,38 @@ class TestChebyshevBound:
             assert bound < 1, row
             slack = 3 * math.sqrt(row.p_dev * (1 - row.p_dev) / row.trials)
             assert row.p_dev <= bound + slack, row
+
+
+def ryser_int64(mats: np.ndarray) -> np.ndarray:
+    """Integer permanents of a (count, n, n) int64 stack by Ryser's formula,
+    sum over nonempty column sets S of (-1)^(n-|S|) prod_i sum_{j in S} a_ij."""
+    n = mats.shape[1]
+    subsets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
+    signs = (-1) ** (n - subsets.sum(axis=1))
+    return (mats @ subsets.T).prod(axis=1) @ signs
+
+
+class TestDeviationLaw:
+    """p_dev against the exact P(|T/mu - 1| > eps) of a const:1 class,
+    enumerated whole: T = per(X) is an integer and mu = prod r_i n!/n^n.
+    20 000 trials on seed 7; p_dev must lie within 3 binomial standard
+    errors of the exact probability."""
+
+    @pytest.mark.parametrize("r,epsilon", [
+        ((3,) * 5, 0.2),            # 10^5 matrices
+        ((5,) * 6, 0.1),            # 6^6 matrices
+        ((1, 2, 3, 4, 5), 0.2),     # heterogeneous, with r_i = 1 and r_i = n
+    ], ids=["n5-r3", "n6-r5", "n5-r1to5"])
+    def test_p_dev_matches_exact_law(self, r, epsilon):
+        n, trials = len(r), 20_000
+        spec = ModelSpec(n, r, CONST1)
+        mats = np.array([m.entries for m in enumerate_constraint_matrices(spec)], dtype=np.int64)
+        pers = ryser_int64(mats)
+        # the oracle's own check: E per(X) = mu exactly
+        assert int(pers.sum()) * n**n == math.prod(r) * math.factorial(n) * len(mats)
+        dev = np.abs(pers / (math.prod(r) * math.factorial(n) / n**n) - 1.0)
+        # no class value sits where a rounding in the sampled ratio could flip it
+        assert np.min(np.abs(dev - epsilon)) > 1e-9
+        exact = float(np.mean(dev > epsilon))
+        batch = estimate_moments(spec, trials, 7, epsilon=epsilon)
+        assert abs(batch.p_dev - exact) <= 3 * math.sqrt(exact * (1 - exact) / trials)

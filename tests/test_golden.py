@@ -69,7 +69,7 @@ def test_mc_csv_bytes():
     # printed ...575 in its last digits, SkylakeX 460ea73a...), and its
     # ratios one product, the scaled permanent times n^n/n! (a log and an
     # exp printed 3147698d... on SkylakeX)
-    batch = estimate_moments(ModelSpec.homogeneous(4, 2, DistributionSpec.exponential(1.0)), 400, 7)
+    batch = estimate_moments(ModelSpec.homogeneous(4, 2, DistributionSpec("exp", (1.0,))), 400, 7)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
         "SkylakeX": "784a607a339a13b0b4d71e88425bb35514c7d96f1aadc23ebba62b059476bce1",
         "Haswell": "784a607a339a13b0b4d71e88425bb35514c7d96f1aadc23ebba62b059476bce1",
@@ -87,7 +87,7 @@ def test_mc_csv_bytes_across_seed_pieces():
     # is the quadrature's (SkylakeX printed d068f3fa... before). W takes
     # libm's exp and the ratios n^n/n! times the scaled permanent (SkylakeX
     # printed e5b88aff... before).
-    batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec.lognormal(0.0, 1.0)), 9000, 23)
+    batch = estimate_moments(ModelSpec.homogeneous(5, 2, DistributionSpec("lognormal", (0.0, 1.0))), 9000, 23)
     assert _sha256(csv_text([summary_row(batch)]).encode()) == _pinned({
         "SkylakeX": "57090ef74cab75b42aca7f664641351532ae404a2fde84bce40216ce2088e567",
         "Haswell": "d4051273720f0cdeed34d2b029704933bf9478caa95a832e5fa27368ec7b8a15",
@@ -99,7 +99,7 @@ def test_mc_csv_bytes_across_seed_pieces():
 
 def test_sample_bytes():
     # `permlab sample --n 5 --r 2,3,2,4,5 --dist lognormal:0,1 --seed 77`
-    spec = ModelSpec(5, (2, 3, 2, 4, 5), DistributionSpec.lognormal(0.0, 1.0))
+    spec = ModelSpec(5, (2, 3, 2, 4, 5), DistributionSpec("lognormal", (0.0, 1.0)))
     x, y = sample_constrained_matrix(spec, TrialSeed(77, 0))
     assert _sha256(x.entries.astype("<f8").tobytes()) == (
         "9bb9f28e37ae5bcf9fdeb5db070e15088d13240de0845bc54e6237a65dbc59fa")
@@ -115,7 +115,7 @@ def test_sweep_csv_bytes_across_stack_sizes():
     # exact_ratio cells are the quadrature's (SkylakeX printed edd96ff0...);
     # W takes libm's exp and the ratios one product (SkylakeX printed
     # 1c0512f7... before).
-    plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec.lognormal(0.0, 1.0), 8, 5)
+    plan = SweepPlan((13, 14, 15), "power:0.75", DistributionSpec("lognormal", (0.0, 1.0)), 8, 5)
     assert _sha256(csv_text(concentration_sweep(plan, workers=1)).encode()) == _pinned({
         "SkylakeX": "b6dee6ee15b35137460ddc396ea735ada90207392da7e7174ad58cdbc7b72c8f",
         "Haswell": "f40f496f700ec8b519f0003f04367279008db72d535e6225b232a7bfbe28afb2",
@@ -127,7 +127,7 @@ def test_sweep_csv_bytes_across_stack_sizes():
 
 def test_sample_bytes_half_full_rows():
     # `permlab sample --n 16 --r 8 --dist exp:1 --seed 3 --trial 11`
-    spec = ModelSpec.homogeneous(16, 8, DistributionSpec.exponential(1.0))
+    spec = ModelSpec.homogeneous(16, 8, DistributionSpec("exp", (1.0,)))
     x, y = sample_constrained_matrix(spec, TrialSeed(3, 11))
     assert _sha256(x.entries.astype("<f8").tobytes()) == (
         "29b0c5ae4d1210fe8d9b1162f4b54e07a544486a32563b6ef83e03738c04e32d")

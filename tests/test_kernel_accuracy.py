@@ -124,7 +124,7 @@ def test_trial_ratio_within_an_ulp_under_const1(n, r):
     # under const:1 the pass divides 0-1 rows by a power of two, so T/mu =
     # per(X) n^n / (r^n n!) is held to within an ulp of its rounded value,
     # batch and single trial alike (a log and an exp took up to 38 ulps here)
-    spec = ModelSpec.homogeneous(n, r, DistributionSpec.constant(1.0))
+    spec = ModelSpec.homogeneous(n, r, DistributionSpec("const", (1.0,)))
     trials, seed = 24, 31
     batch = estimate_moments(spec, trials, seed, workers=1).ratios
     for i in range(trials):

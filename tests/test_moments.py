@@ -31,8 +31,8 @@ from paper_series import (
 from sampler_reference import sample_row_support
 from test_threshold import truncated_exponential_ratio
 
-CONST1 = DistributionSpec.constant(1)
-EXP1 = DistributionSpec.exponential(1)
+CONST1 = DistributionSpec("const", (1,))
+EXP1 = DistributionSpec("exp", (1,))
 
 
 class TestSubfactorial:
@@ -92,7 +92,7 @@ class TestMu:
 
     def test_entry_mean_scales_in(self):
         spec1 = ModelSpec(4, (2, 3, 2, 4), CONST1)
-        spec3 = ModelSpec(4, (2, 3, 2, 4), DistributionSpec.constant(3))
+        spec3 = ModelSpec(4, (2, 3, 2, 4), DistributionSpec("const", (3,)))
         assert mu_n(spec3).log_mag == pytest.approx(
             mu_n(spec1).log_mag + 4 * math.log(3), rel=1e-14
         )
@@ -222,7 +222,7 @@ class TestExactHomogeneousRatio:
 
     def test_ratio_nondecreasing_in_shape_factor(self):
         # delta/nu^2 grid via lognormal scale, holding (n, r) fixed
-        dists = [CONST1] + [DistributionSpec.lognormal(0.0, s) for s in (0.2, 0.5, 0.8, 1.0)]
+        dists = [CONST1] + [DistributionSpec("lognormal", (0.0, s)) for s in (0.2, 0.5, 0.8, 1.0)]
         for n, r in ((6, 3), (9, 5)):
             ratios = [exact_ratio(n, r, d) for d in dists]
             assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -245,7 +245,7 @@ class TestExactRatioIdentity:
 
     def test_matches_pair_sum_on_random_specs(self):
         rng = np.random.default_rng(20240611)
-        dists = [CONST1, EXP1, DistributionSpec.lognormal(0.3, 0.8), DistributionSpec.uniform(1, 2)]
+        dists = [CONST1, EXP1, DistributionSpec("lognormal", (0.3, 0.8)), DistributionSpec("uniform", (1, 2))]
         unit_rows = 0
         for _ in range(300):
             n = int(rng.integers(2, 8))
@@ -321,8 +321,8 @@ class TestQuadratureOracle:
         two_groups(10**5, 5624, 11248, "exp:1"),
         two_groups(10**5, 400, 800, "exp:1"),
         ModelSpec(50, (1,) * 10 + (25,) * 40, CONST1),
-        ModelSpec(300, (1,) * 3 + (2,) * 97 + (150,) * 200, DistributionSpec.uniform(1, 2)),
-        ModelSpec.homogeneous(12, 8, DistributionSpec.lognormal(0.0, 3.0)),
+        ModelSpec(300, (1,) * 3 + (2,) * 97 + (150,) * 200, DistributionSpec("uniform", (1, 2))),
+        ModelSpec.homogeneous(12, 8, DistributionSpec("lognormal", (0.0, 3.0))),
         two_groups(30, 20, 30, "lognormal:0,3"),
     ], ids=lambda s: f"n{s.n}-r{s.r_low}-{s.r_up}-{s.dist.spec_string()}-{len(set(s.r))}counts")
     def test_within_stated_bound(self, spec):
@@ -500,7 +500,7 @@ class TestConditions:
         assert chk.theta == pytest.approx((2 / 3) * math.exp(0.5), rel=1e-12)
         assert chk.theta > 1
 
-    @pytest.mark.parametrize("dist", [EXP1, DistributionSpec.uniform(1, 2)],
+    @pytest.mark.parametrize("dist", [EXP1, DistributionSpec("uniform", (1, 2))],
                              ids=lambda d: d.spec_string())
     def test_theta_is_growth_of_exact_ratio(self, dist):
         # theta = (1 - 1/r) e^{q/(r-1)} with q = delta/nu^2, against the
@@ -513,7 +513,7 @@ class TestConditions:
 
     def test_theta_past_double_range_is_inf(self):
         # q = e^9 = 8103: e^{q/(r-1)} is e^1157.6, past the double range
-        spec = ModelSpec.homogeneous(12, 8, DistributionSpec.lognormal(0.0, 3.0))
+        spec = ModelSpec.homogeneous(12, 8, DistributionSpec("lognormal", (0.0, 3.0)))
         assert condition_check(spec).theta == math.inf
         assert moment_report(spec).theta == math.inf
 
@@ -540,7 +540,7 @@ class TestSandwichAtAllScales:
         # where S is the series; this is the bound before the e^{beta-1}
         # approximation step and must hold without an n threshold
         rng = np.random.default_rng(42)
-        dists = [CONST1, EXP1, DistributionSpec.uniform(1, 2)]
+        dists = [CONST1, EXP1, DistributionSpec("uniform", (1, 2))]
         for _ in range(40):
             n = int(rng.integers(2, 8))
             r = tuple(int(v) for v in rng.integers(2, n + 1, size=n))
@@ -559,7 +559,7 @@ class TestSandwichAtAllScales:
         # homogeneous r ~ sqrt(n) cases, where the bracket is an equality,
         # have alpha subnormal (550000, 742) or below the double range.
         rng = np.random.default_rng(7)
-        dists = [CONST1, EXP1, DistributionSpec.lognormal(0.0, 0.5)]
+        dists = [CONST1, EXP1, DistributionSpec("lognormal", (0.0, 0.5))]
         specs = []
         for n in (10, 30, 100, 300, 1000):
             for _ in range(8):

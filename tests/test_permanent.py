@@ -184,7 +184,7 @@ class TestZeroScreen:
         # 5`: of its 1983 zero trials, the 1873 with an empty column (no row
         # is empty at r = 3) skip the search, which settles the other 110
         calls.clear()
-        spec = ModelSpec.homogeneous(6, 3, DistributionSpec.exponential(1.0))
+        spec = ModelSpec.homogeneous(6, 3, DistributionSpec("exp", (1.0,)))
         ratios = estimate_moments(spec, 20_000, 5, workers=1).ratios
         assert int((ratios == 0.0).sum()) == 1983
         assert len(calls) == 1983 - 1873

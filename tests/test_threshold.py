@@ -30,7 +30,7 @@ from permlab.core import DistributionSpec, ModelSpec
 from permlab.experiments import resolve_r_rule
 from permlab.moments import moment_report
 
-CONST1 = DistributionSpec.constant(1)
+CONST1 = DistributionSpec("const", (1,))
 LAWS = [DistributionSpec.from_string(s)
         for s in ("const:1", "exp:1", "uniform:1,2", "lognormal:0,1")]
 DOUBLE_MAX = Decimal(sys.float_info.max)
