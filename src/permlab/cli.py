@@ -6,18 +6,24 @@ batch to CSV), ``sweep`` (dimension sweep to CSV), ``verify`` (cross-oracle
 identity suite).
 
 Exit codes: 0 success, 1 runtime or statistical failure, 2 usage or guard
-error. Machine output goes to stdout or the requested file only. Right after
-parsing and worker resolution, ``main`` echoes the resolved configuration,
-master seed included, to stderr once, so every run says what it was asked,
-a refused one too (all but a bad --workers count); k equal comma-list
-entries in a row echo as ``v*k``.
+error. A handler returns its exit code and output text, and ``main`` alone
+writes the text, in one write after the command finishes, to the ``--out``
+file or to stdout, which it flushes: a reader that closes stdout early
+leaves the run's exit code, and any other failed stdout write is exit 1.
+Right after parsing and worker resolution, ``main`` echoes the resolved
+configuration, master seed included, to stderr once, so every run says what
+it was asked, a refused one too (all but a bad --workers count); k equal
+comma-list entries in a row echo as ``v*k``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from itertools import groupby
 
 from .core import (
@@ -109,12 +115,10 @@ def _config_argv(argv: list[str]) -> list[str]:
         return argv  # the full parser reports the malformed --config
     if path is None:
         return argv
-    tokens = []
-    for flag, value in _load_config(path).items():
-        if flag == "config":
-            raise ParseError(f"{path}: a config file cannot name another config file")
-        tokens.append(f"--{flag}={value}")
-    return argv[:1] + tokens + argv[1:]
+    pairs = _load_config(path)
+    if "config" in pairs:
+        raise ParseError(f"{path}: a config file cannot name another config file")
+    return argv[:1] + [f"--{flag}={value}" for flag, value in pairs.items()] + argv[1:]
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -145,37 +149,25 @@ def _build_spec(args: argparse.Namespace) -> ModelSpec:
     return ModelSpec(args.n, r * args.n if len(r) == 1 else r, dist)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write a command's output to the ``--out`` file, or to stdout without one."""
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# -- subcommand handlers: each returns its exit code and output text -------
 
 
-# -- subcommand handlers ----------------------------------------------------
-
-
-def cmd_per(args: argparse.Namespace) -> int:
+def cmd_per(args: argparse.Namespace) -> tuple[int, str]:
     with open(args.input) as fh:
         m = parse_matrix(fh.read())
     value = per_naive(m) if args.algorithm == "naive" else per_ryser(m)
     if value.is_zero:
-        print("per = 0  log_per = -inf")
-        return 0
-    print(f"per = {_fmt_from_log(value.log_mag)}  log_per = {_fmt(value.log_mag)}")
-    return 0
+        return 0, "per = 0  log_per = -inf\n"
+    return 0, f"per = {_fmt_from_log(value.log_mag)}  log_per = {_fmt(value.log_mag)}\n"
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> tuple[int, str]:
     spec = _build_spec(args)
     x, y = sample_constrained_matrix(spec, TrialSeed(args.seed, args.trial))
-    _emit(write_matrix(x if args.matrix == "x" else y), args.out)
-    return 0
+    return 0, write_matrix(x if args.matrix == "x" else y)
 
 
-def cmd_moments(args: argparse.Namespace) -> int:
+def cmd_moments(args: argparse.Namespace) -> tuple[int, str]:
     spec = _build_spec(args)
     rep = moment_report(spec)
     lines = [
@@ -189,8 +181,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         f"mu = {_fmt_from_log(rep.mu.log_mag)}",
     ]
     if rep.vdw is not None:
-        lines.append(f"vdw_log = {_fmt(rep.vdw.log_mag)}")
-        lines.append(f"vdw = {_fmt_from_log(rep.vdw.log_mag)}")
+        lines += [f"vdw_log = {_fmt(rep.vdw.log_mag)}", f"vdw = {_fmt_from_log(rep.vdw.log_mag)}"]
     if rep.alpha_beta is not None:
         ab = rep.alpha_beta
         lines.append(f"alpha_up = {_fmt_from_log(ab.alpha_up.log_mag)}")
@@ -204,24 +195,20 @@ def cmd_moments(args: argparse.Namespace) -> int:
         lines.append(f"bounds = unavailable ({rep.bounds_failure})")
     if rep.exact_ratio is not None:
         lines.append(f"exact_ratio = {_fmt(rep.exact_ratio)}")
-    lines.append(f"a_n = {_fmt(rep.a_n)}")
-    lines.append(f"c_n = {_fmt(rep.c_n)}")
+    lines += [f"a_n = {_fmt(rep.a_n)}", f"c_n = {_fmt(rep.c_n)}"]
     if rep.theta is not None:
         lines.append(f"theta = {_fmt(rep.theta)}")
-    print("\n".join(lines))
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
+def cmd_mc(args: argparse.Namespace) -> tuple[int, str]:
     spec = _build_spec(args)
-    batch = estimate_moments(
-        spec, args.trials, args.seed, workers=args.workers, epsilon=args.epsilon
-    )
-    _emit(csv_text([summary_row(batch)]), args.out)
-    return 0
+    batch = estimate_moments(spec, args.trials, args.seed, workers=args.workers,
+                             epsilon=args.epsilon)
+    return 0, csv_text([summary_row(batch)])
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     plan = SweepPlan(
         ns=_int_list(args.n, "n list"),
         r_rule=args.r_rule,
@@ -230,18 +217,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         epsilon=args.epsilon,
     )
-    _emit(csv_text(concentration_sweep(plan, workers=args.workers)), args.out)
-    return 0
+    return 0, csv_text(concentration_sweep(plan, workers=args.workers))
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     checks = cross_check_suite()
-    for chk in checks:
-        mark = "ok" if chk.ok else "MISMATCH"
-        print(f"{chk.label}: formula={_fmt(chk.formula)} oracle={_fmt(chk.oracle)} {mark}")
     passed = sum(chk.ok for chk in checks)
-    print(f"{passed}/{len(checks)} checks passed")
-    return 0 if passed == len(checks) else 1
+    text = "".join(f"{chk.label}: formula={_fmt(chk.formula)} oracle={_fmt(chk.oracle)} "
+                   f"{'ok' if chk.ok else 'MISMATCH'}\n" for chk in checks)
+    return (0 if passed == len(checks) else 1), text + f"{passed}/{len(checks)} checks passed\n"
 
 
 # -- parser -----------------------------------------------------------------
@@ -313,13 +297,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_config_argv(argv))
-        if "workers" in args:
-            args.workers = _resolve_workers(args.workers)
-        _echo_config(args)
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+        try:
+            with redirect_stdout(StringIO()) as help_text:
+                args = build_parser().parse_args(_config_argv(argv))
+            if "workers" in args:
+                args.workers = _resolve_workers(args.workers)
+            _echo_config(args)
+            code, text = args.func(args)
+            if getattr(args, "out", None):
+                with open(args.out, "w", newline="") as fh:
+                    fh.write(text)
+                text = ""
+        except SystemExit as exc:  # --help, or a usage error argparse reported
+            code, text = (int(exc.code) if exc.code else 0), help_text.getvalue()
+        try:
+            # flushed here, not by the interpreter at exit, which main would not see
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the exit flush then writes what is left to os.devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):  # a closed pipe keeps the run's code
+                raise
+        return code
     except (PermlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PrecisionError) else 2

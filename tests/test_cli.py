@@ -8,11 +8,11 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from permanent_reference import exact_per01
 from permlab.cli import _fmt_from_log, main
 from permlab.moments import mu_n
 from permlab.verify import REL_TOL, OracleCheck, cross_check_suite
 from permlab.core import DomainError, PrecisionError, ScaledValue, SizeLimitError
-from test_kernel_accuracy import exact_per01
 
 
 def run_cli(args, **kwargs):
@@ -70,7 +70,7 @@ class TestPer:
         p = tmp_path / "m.txt"
         p.write_text("".join(" ".join("1" if v else "0" for v in row) + "\n" for row in x))
         assert main(["per", "--input", str(p)]) == 0
-        assert Decimal(capsys.readouterr().out.split()[2]) == exact_per01(x)
+        assert Decimal(capsys.readouterr().out.split()[2]) == int(exact_per01(x[None])[0])
 
     def test_non_integer_entry_prints_its_digits(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
@@ -180,7 +180,9 @@ class TestUsage:
         (SizeLimitError("too big"), 2),
         (ValueError("bad value"), 2),
         (OSError("no such file"), 1),
-    ], ids=["precision", "size-limit", "value", "os"])
+        # as a worker pool's pipe raises it: only stdout's own write is quiet
+        (BrokenPipeError(32, "Broken pipe"), 1),
+    ], ids=["precision", "size-limit", "value", "os", "broken-pipe"])
     def test_error_exit_codes(self, exc, code, monkeypatch, capsys):
         def fail(args):
             raise exc
@@ -188,7 +190,52 @@ class TestUsage:
         monkeypatch.setattr("permlab.cli.cmd_verify", fail)
         assert main(["verify"]) == code
         out, err = capsys.readouterr()
-        assert out == "" and err.endswith(f"error: {exc}\n")
+        kind = "file error" if isinstance(exc, OSError) else "error"
+        assert out == "" and err.endswith(f"# cmd=verify\n{kind}: {exc}\n")
+
+
+def run_dev(args, stdout, unbuffered):
+    """``python -X dev -m permlab`` with the given stdout, buffered as on a
+    pipe or a file by default, or unbuffered; stderr captured."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-X", "dev", "-m", "permlab", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+STDOUT_RUNS = [["moments", "--n", "12", "--r", "8"],
+               ["mc", "--n", "4", "--r", "2", "--trials", "50"], ["verify"]]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestStdoutFailure:
+    """A run whose stdout fails: a reader that has closed the pipe leaves the
+    run's exit code and no message, as head and grep -q expect; any other
+    failed write is exit 1 with a file error. Neither reaches the
+    interpreter's exit flush (exit 120 and "Exception ignored")."""
+
+    @pytest.mark.parametrize("cmd", STDOUT_RUNS + [["--help"]], ids=lambda cmd: cmd[0])
+    def test_closed_pipe_keeps_exit_code(self, cmd, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = run_dev(cmd, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 0, r.stderr
+        echo = [] if cmd == ["--help"] else [["#", f"cmd={cmd[0]}"]]
+        assert [line.split()[:2] for line in r.stderr.splitlines()] == echo, r.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("cmd", STDOUT_RUNS, ids=lambda cmd: cmd[0])
+    def test_full_device_exit_1(self, cmd, unbuffered):
+        with open("/dev/full", "w") as full:
+            r = run_dev(cmd, full, unbuffered)
+        assert r.returncode == 1, r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 2 and lines[0].split()[:2] == ["#", f"cmd={cmd[0]}"], r.stderr
+        assert lines[1].startswith("file error: [Errno 28] "), r.stderr
 
 
 class TestEcho:

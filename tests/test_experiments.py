@@ -33,6 +33,7 @@ from permlab.experiments import (
 from permlab.model import _SEED_PIECE, TrialSeed, sample_constrained_matrix, trial_rng
 from permlab.moments import moment_report
 from permlab.permanent import _BLOCK_BITS, _CHUNK_ENTRIES, _pass_shape
+from permanent_reference import exact_per01
 from sampler_reference import _span_states, enumerate_constraint_matrices
 
 CONST1 = DistributionSpec("const", (1,))
@@ -531,15 +532,6 @@ class TestChebyshevBound:
             assert row.p_dev <= bound + slack, row
 
 
-def ryser_int64(mats: np.ndarray) -> np.ndarray:
-    """Integer permanents of a (count, n, n) int64 stack by Ryser's formula,
-    sum over nonempty column sets S of (-1)^(n-|S|) prod_i sum_{j in S} a_ij."""
-    n = mats.shape[1]
-    subsets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
-    signs = (-1) ** (n - subsets.sum(axis=1))
-    return (mats @ subsets.T).prod(axis=1) @ signs
-
-
 class TestDeviationLaw:
     """p_dev against the exact P(|T/mu - 1| > eps) of a const:1 class,
     enumerated whole: T = per(X) is an integer and mu = prod r_i n!/n^n.
@@ -555,7 +547,7 @@ class TestDeviationLaw:
         n, trials = len(r), 20_000
         spec = ModelSpec(n, r, CONST1)
         mats = np.array([m.entries for m in enumerate_constraint_matrices(spec)], dtype=np.int64)
-        pers = ryser_int64(mats)
+        pers = exact_per01(mats)
         # the oracle's own check: E per(X) = mu exactly
         assert int(pers.sum()) * n**n == math.prod(r) * math.factorial(n) * len(mats)
         dev = np.abs(pers / (math.prod(r) * math.factorial(n) / n**n) - 1.0)

@@ -1,12 +1,6 @@
-"""Kernel accuracy above n = 10, against a column-subset dynamic programme.
-
-The oracle places rows one at a time: after rows 0..k-1, ``f[S]`` is the
-permanent of those rows on the columns in S, and row k extends each S by one
-of its nonzero columns. Every step adds nonnegative terms, so nothing
-cancels. For 0-1 matrices it counts in int64, which is exact for n <= 20
-because every intermediate value is a subpermanent of at most 20! < 2^63;
-for weighted matrices it runs in float64 with a relative error of about
-n u (u the unit roundoff).
+"""Kernel accuracy above n = 10, against the column-subset dynamic programme
+of ``permanent_reference``: exact in int64 for 0-1 matrices with n <= 20,
+and cancellation-free in float64 for weighted ones.
 """
 
 import functools
@@ -16,65 +10,38 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from permanent_reference import exact_per01, per_float
 from permlab.core import DenseMatrix, DistributionSpec, ModelSpec
 from permlab.experiments import estimate_moments, run_trial
 from permlab.model import TrialSeed, sample_constrained_matrix
 from permlab.permanent import _glynn_pass, per_ryser, per_scaled
 
-INT_EXACT_MAX_N = 20
 
-
-def subset_dp_permanent(a: np.ndarray, dtype) -> np.ndarray:
-    n = a.shape[0]
-    f = np.zeros(1 << n, dtype=dtype)
-    f[0] = 1
-    for i in range(n):
-        g = np.zeros_like(f)
-        for j in np.flatnonzero(a[i]):
-            # subsets containing column j, shaped (high bits, low bits)
-            # against the same subsets without it
-            with_j = g.reshape(-1, 2, 1 << j)[:, 1, :]
-            with_j += f.reshape(-1, 2, 1 << j)[:, 0, :] * dtype(a[i, j])
-        f = g
-    return f[-1]
-
-
-def exact_per01(x: np.ndarray) -> int:
-    """Exact permanent of a 0-1 matrix with n <= 20, as a Python int."""
-    assert np.all((x == 0) | (x == 1)) and x.shape[0] <= INT_EXACT_MAX_N
-    return int(subset_dp_permanent(x, np.int64))
-
-
-def per_float(a: np.ndarray) -> float:
-    """Cancellation-free float64 permanent of a nonnegative matrix."""
-    return float(subset_dp_permanent(a, np.float64))
-
-
-def random_01(rng, n, r):
-    x = np.zeros((n, n))
-    for i in range(n):
-        x[i, rng.choice(n, size=r, replace=False)] = 1.0
+def random_01(rng, count, n, r):
+    """A stack of count n x n 0-1 matrices, each row with r ones."""
+    x = np.zeros((count, n, n))
+    for k in range(count):
+        for i in range(n):
+            x[k, i, rng.choice(n, size=r, replace=False)] = 1.0
     return x
 
 
 class TestOracle:
     def test_all_ones_is_factorial(self):
         for n in (1, 4, 12, 20):
-            assert exact_per01(np.ones((n, n))) == math.factorial(n)
+            assert exact_per01(np.ones((1, n, n)))[0] == math.factorial(n)
 
     def test_float_matches_int_on_01(self):
-        x = random_01(np.random.default_rng(3), 14, 7)
-        assert per_float(x) == float(exact_per01(x))
+        x = random_01(np.random.default_rng(3), 2, 14, 7)
+        assert np.array_equal(per_float(x), exact_per01(x).astype(float))
 
 
 @pytest.mark.parametrize("n", [12, 13, 16, 20])
 @pytest.mark.parametrize("r_of_n", [lambda n: 3, lambda n: n // 2], ids=["r3", "rhalf"])
 def test_per_ryser_exact_on_01(n, r_of_n):
-    rng = np.random.default_rng(1000 + n)
-    for _ in range(2):
-        x = random_01(rng, n, r_of_n(n))
-        exact = exact_per01(x)
-        v = per_ryser(DenseMatrix(x))
+    x = random_01(np.random.default_rng(1000 + n), 2, n, r_of_n(n))
+    for a, exact in zip(x, exact_per01(x)):
+        v = per_ryser(DenseMatrix(a))
         if exact == 0:
             assert v.is_zero
             continue
@@ -90,7 +57,7 @@ def trial_panel(n: int) -> tuple[np.ndarray, int, np.ndarray]:
     r = math.ceil(n ** 0.75)
     spec = ModelSpec(n, (r,) * n, DistributionSpec.from_string("exp:1"))
     y = np.stack([sample_constrained_matrix(spec, TrialSeed(2024, i))[1].entries for i in range(6)])
-    return y, r, np.array([per_float(a) for a in y / r])
+    return y, r, per_float(y / r)
 
 
 @pytest.mark.parametrize("n", [16, 18, 20])
@@ -110,13 +77,11 @@ def test_per_ryser_exact_on_01_in_groups(r_of_n):
     # at n = 18 the r = n/2 matrices here miss the 1e-14 above by a little
     # (2.0e-14), so the count is held to the pass's own rounding bound
     n = 18
-    rng = np.random.default_rng(1000 + n)
-    for _ in range(2):
-        x = random_01(rng, n, r_of_n(n))
-        exact = exact_per01(x)
-        v = per_ryser(DenseMatrix(x))
+    x = random_01(np.random.default_rng(1000 + n), 2, n, r_of_n(n))
+    for a, exact, err in zip(x, exact_per01(x), _glynn_pass(x)[1]):
+        v = per_ryser(DenseMatrix(a))
         assert round(v.to_float()) == exact
-        assert abs(v.to_float() - exact) <= _glynn_pass(x[None])[1][0]
+        assert abs(v.to_float() - exact) <= err
 
 
 @pytest.mark.parametrize("n,r", [(6, 4), (8, 4), (8, 8), (12, 4), (12, 8), (16, 4), (16, 8)])
@@ -127,9 +92,10 @@ def test_trial_ratio_within_an_ulp_under_const1(n, r):
     spec = ModelSpec.homogeneous(n, r, DistributionSpec("const", (1.0,)))
     trials, seed = 24, 31
     batch = estimate_moments(spec, trials, seed, workers=1).ratios
-    for i in range(trials):
-        x = sample_constrained_matrix(spec, TrialSeed(seed, i))[0].entries
-        want = float(Fraction(exact_per01(x) * n**n, r**n * math.factorial(n)))
+    x = np.stack([sample_constrained_matrix(spec, TrialSeed(seed, i))[0].entries
+                  for i in range(trials)])
+    for i, per in enumerate(exact_per01(x)):
+        want = float(Fraction(int(per) * n**n, r**n * math.factorial(n)))
         for got in (batch[i], run_trial(spec, TrialSeed(seed, i))):
             assert abs(got - want) <= math.ulp(want), (i, got, want)
 
@@ -142,7 +108,7 @@ def test_glynn_pass_within_its_error_bound(n):
     spec = ModelSpec(n, (r,) * n, DistributionSpec.from_string("exp:1"))
     a = np.stack([sample_constrained_matrix(spec, TrialSeed(77, i))[1].entries / r for i in range(2)])
     values, errs = _glynn_pass(a)
-    refs = np.array([per_float(y) for y in a])
+    refs = per_float(a)
     assert np.all(np.abs(values - refs) <= errs), (values, refs, errs)
 
 
